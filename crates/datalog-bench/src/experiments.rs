@@ -1293,13 +1293,12 @@ pub fn e15(quick: bool) -> ExperimentResult {
     r
 }
 
-/// E16 — sorted-run storage, three axes against the legacy hash-postings
-/// backend it replaced (results are byte-identical; this measures cost):
+/// E16 — sorted-run storage, three axes:
 ///
-/// (a) **ingest**: N inserts (~25% duplicates) into a [`Relation`] under
-///     each backend, with the acceleration-structure overhead estimate as
-///     memory notes — sorted runs retire the boxed-tuple `seen` set and
-///     posting lists for 4-byte id arrays plus ~1 byte/row of bloom bits;
+/// (a) **ingest**: N inserts (~25% duplicates) into a [`Relation`], with
+///     the acceleration-structure overhead estimate as a memory note —
+///     sorted runs keep 4-byte id arrays plus ~1 byte/row of bloom bits
+///     beside the rows instead of a second copy of every tuple;
 /// (b) **cold probes**: M point probes (~75% absent keys) against a
 ///     sealed, indexed relation; each sorted run gates its binary search
 ///     behind a bloom filter, and the measured skip rate is reported;
@@ -1310,16 +1309,15 @@ pub fn e15(quick: bool) -> ExperimentResult {
 ///     preserving sort-dedup per predicate, log tail on top).
 pub fn e16(quick: bool) -> ExperimentResult {
     use datalog_ast::Value;
-    use datalog_engine::{storage_counters, Relation, StorageMode};
+    use datalog_engine::{storage_counters, Relation};
     use datalog_server::{Client, FsyncPolicy, Server, ServerConfig, ServerState};
     use std::time::Instant;
 
     let mut r = ExperimentResult::new(
         "e16",
-        "sorted-run storage: ingest + cold-probe + crash-recovery walls, \
-         legacy hash postings vs merge-joinable runs",
+        "sorted-run storage: ingest + cold-probe + crash-recovery walls",
     );
-    r.note("expect: dedup memory drops (no duplicate tuple storage), cold probes");
+    r.note("expect: small dedup overhead (no duplicate tuple storage), cold probes");
     r.note("short-circuit on bloom skips, and manifest recovery beats text replay");
 
     let row = |r: &mut ExperimentResult, label: &str, params: &str, facts: u64, us: u128| {
@@ -1354,90 +1352,81 @@ pub fn e16(quick: bool) -> ExperimentResult {
             .collect()
     };
 
-    // (a) Ingest: per-backend median wall over several fresh relations
-    // (single-pass walls on a shared host are too noisy to compare) +
-    // overhead estimate.
+    // (a) Ingest: median wall over several fresh relations (single-pass
+    // walls on a shared host are too noisy to compare) + overhead
+    // estimate.
+    let label = "sorted-runs";
     let reps: usize = if quick { 3 } else { 5 };
     let params = format!("ingest n={n} (~25% dup)");
-    for (label, mode) in [
-        ("legacy-postings", StorageMode::Legacy),
-        ("sorted-runs", StorageMode::SortedRun),
-    ] {
-        let mut walls = Vec::with_capacity(reps);
-        let mut kept = None;
-        for _ in 0..reps {
-            let mut rel = Relation::with_mode(2, mode);
-            rel.ensure_index(&[0]);
-            let t0 = Instant::now();
-            for t in &tuples {
-                rel.insert(t);
-            }
-            walls.push(t0.elapsed());
-            rel.seal();
-            kept = Some(rel);
-        }
-        walls.sort();
-        let wall = walls[walls.len() / 2];
-        let rel = kept.expect("at least one ingest rep");
-        r.note(format!(
-            "{label}: ingest {}us (median of {reps}), {} rows, overhead ~{} KiB, {} runs",
-            wall.as_micros(),
-            rel.len(),
-            rel.overhead_bytes_estimate() / 1024,
-            rel.run_count()
-        ));
-        row(&mut r, label, &params, rel.len() as u64, wall.as_micros());
-    }
-
-    // (b) Cold probes: ~75% of probed keys are absent; the sorted backend
-    // skips those runs on the bloom gate instead of binary-searching.
-    // Probes run against the read-optimized serving state — fully
-    // consolidated to one run, as the maintenance path leaves it.
-    let m: u64 = if quick { 60_000 } else { 400_000 };
-    let params = format!("probe m={m} (~75% absent)");
-    for (label, mode) in [
-        ("legacy-postings", StorageMode::Legacy),
-        ("sorted-runs", StorageMode::SortedRun),
-    ] {
-        let mut rel = Relation::with_mode(2, mode);
+    let mut walls = Vec::with_capacity(reps);
+    let mut kept = None;
+    for _ in 0..reps {
+        let mut rel = Relation::new(2);
         rel.ensure_index(&[0]);
+        let t0 = Instant::now();
         for t in &tuples {
             rel.insert(t);
         }
-        rel.consolidate();
-        let before = storage_counters();
-        let mut walls = Vec::with_capacity(reps);
-        let mut hits = 0u64;
-        for rep in 0..reps {
-            let mut rep_hits = 0u64;
-            let t0 = Instant::now();
-            for i in 0..m {
-                // Probe space 4x the key space: ~1 in 4 keys exist.
-                let k = ((i.wrapping_mul(2654435761)) % (4 * keyspace as u64)) as i64;
-                rep_hits += rel.probe_range(&[0], &[Value::int(k)], 0, rel.len()).len() as u64;
-            }
-            walls.push(t0.elapsed());
-            if rep == 0 {
-                hits = rep_hits;
-            }
-        }
-        walls.sort();
-        let wall = walls[walls.len() / 2];
-        let after = storage_counters();
-        let probes = after.bloom_probes - before.bloom_probes;
-        let skips = after.bloom_skips - before.bloom_skips;
-        let rate = if probes > 0 {
-            skips as f64 / probes as f64 * 100.0
-        } else {
-            0.0
-        };
-        r.note(format!(
-            "{label}: {m} probes in {}us (median of {reps}), {hits} hits, \
-             bloom skip rate {rate:.1}% ({skips}/{probes})",
-            wall.as_micros()
-        ));
-        row(&mut r, label, &params, hits, wall.as_micros());
+        walls.push(t0.elapsed());
+        rel.seal();
+        kept = Some(rel);
     }
+    walls.sort();
+    let wall = walls[walls.len() / 2];
+    let rel = kept.expect("at least one ingest rep");
+    r.note(format!(
+        "{label}: ingest {}us (median of {reps}), {} rows, overhead ~{} KiB, {} runs",
+        wall.as_micros(),
+        rel.len(),
+        rel.overhead_bytes_estimate() / 1024,
+        rel.run_count()
+    ));
+    row(&mut r, label, &params, rel.len() as u64, wall.as_micros());
+
+    // (b) Cold probes: ~75% of probed keys are absent; each run skips
+    // those on the bloom gate instead of binary-searching. Probes run
+    // against the read-optimized serving state — fully consolidated to
+    // one run, as the maintenance path leaves it.
+    let m: u64 = if quick { 60_000 } else { 400_000 };
+    let params = format!("probe m={m} (~75% absent)");
+    let mut rel = Relation::new(2);
+    rel.ensure_index(&[0]);
+    for t in &tuples {
+        rel.insert(t);
+    }
+    rel.consolidate();
+    let before = storage_counters();
+    let mut walls = Vec::with_capacity(reps);
+    let mut hits = 0u64;
+    for rep in 0..reps {
+        let mut rep_hits = 0u64;
+        let t0 = Instant::now();
+        for i in 0..m {
+            // Probe space 4x the key space: ~1 in 4 keys exist.
+            let k = ((i.wrapping_mul(2654435761)) % (4 * keyspace as u64)) as i64;
+            rep_hits += rel.probe_range(&[0], &[Value::int(k)], 0, rel.len()).len() as u64;
+        }
+        walls.push(t0.elapsed());
+        if rep == 0 {
+            hits = rep_hits;
+        }
+    }
+    walls.sort();
+    let wall = walls[walls.len() / 2];
+    let after = storage_counters();
+    let probes = after.bloom_probes - before.bloom_probes;
+    let skips = after.bloom_skips - before.bloom_skips;
+    let rate = if probes > 0 {
+        skips as f64 / probes as f64 * 100.0
+    } else {
+        0.0
+    };
+    r.note(format!(
+        "{label}: {m} probes in {}us (median of {reps}), {hits} hits, \
+         bloom skip rate {rate:.1}% ({skips}/{probes})",
+        wall.as_micros()
+    ));
+    row(&mut r, label, &params, hits, wall.as_micros());
 
     // (c) Crash recovery: same ingest volume through a WAL-backed server;
     // `compact_every: 0` leaves a pure text log to replay, `256` leaves a

@@ -187,147 +187,6 @@ fn incremental_differential(
     failures
 }
 
-/// Storage differential arm: the sorted-run backend (the default) against
-/// the legacy hash-postings backend it replaced, at 1 and 4 threads.
-/// Storage sits *below* the logical contract — same row ids, same
-/// insertion order, same delta ranges — so everything observable must be
-/// byte identical: every relation's rows in row-id order, the full stats
-/// partition, provenance, and profile counters. The resident ingest path
-/// is replayed under both backends too: after every `apply_deltas` batch
-/// the two frontiers and their reports (walls aside) must agree.
-/// Returns the number of disagreements found.
-fn storage_differential(
-    program: &datalog_ast::Program,
-    instance: &datalog_engine::FactSet,
-    mut complain: impl FnMut(&str),
-) -> u64 {
-    let mut failures = 0u64;
-    let opts = |threads: usize, legacy: bool| EvalOptions {
-        threads,
-        legacy_storage: legacy,
-        profile: true,
-        record_provenance: true,
-        ..EvalOptions::default()
-    };
-    for threads in [1usize, 4] {
-        let label = format!("storage@threads={threads}");
-        let (sorted, legacy) = match (
-            evaluate(program, instance, &opts(threads, false)),
-            evaluate(program, instance, &opts(threads, true)),
-        ) {
-            (Ok(a), Ok(b)) => (a, b),
-            (a, b) => {
-                complain(&format!(
-                    "{label}: evaluation failed (sorted err={}, legacy err={})",
-                    a.is_err(),
-                    b.is_err()
-                ));
-                return failures + 1;
-            }
-        };
-        if sorted.stats != legacy.stats {
-            complain(&format!(
-                "{label}: stats diverge\n sorted: {:?}\n legacy: {:?}",
-                sorted.stats, legacy.stats
-            ));
-            failures += 1;
-        }
-        if sorted.provenance != legacy.provenance {
-            complain(&format!("{label}: provenance diverges"));
-            failures += 1;
-        }
-        let rows_match = (0..sorted.database.pred_count()).all(|p| {
-            let id = datalog_engine::PredId(p as u32);
-            sorted
-                .database
-                .relation(id)
-                .iter()
-                .eq(legacy.database.relation(id).iter())
-        });
-        if sorted.database.pred_count() != legacy.database.pred_count() || !rows_match {
-            complain(&format!("{label}: databases diverge (row-id order)"));
-            failures += 1;
-        }
-        let sp = sorted.profile.as_ref().map(|p| p.counters_only());
-        let lp = legacy.profile.as_ref().map(|p| p.counters_only());
-        if sp != lp {
-            complain(&format!("{label}: profile counters diverge"));
-            failures += 1;
-        }
-    }
-    // Resident ingest path under both backends.
-    if !ResidentEval::supports(program) {
-        return failures;
-    }
-    let facts: Vec<Fact> = instance
-        .iter()
-        .map(|(pred, tuple)| Fact::new(pred.clone(), tuple.clone()))
-        .collect();
-    let split = facts.len() / 2;
-    let mut loaded = datalog_engine::FactSet::new();
-    for f in &facts[..split] {
-        loaded.insert(f.pred.clone(), f.tuple.clone());
-    }
-    let built = (
-        ResidentEval::new(program, &loaded, &opts(1, false)),
-        ResidentEval::new(program, &loaded, &opts(1, true)),
-    );
-    let (mut sorted, mut legacy) = match built {
-        (Ok(a), Ok(b)) => (a, b),
-        (a, b) => {
-            complain(&format!(
-                "storage: resident construction failed (sorted err={}, legacy err={})",
-                a.is_err(),
-                b.is_err()
-            ));
-            return failures + 1;
-        }
-    };
-    for batch in facts[split..].chunks(3) {
-        let limits = DeltaLimits::default();
-        let (rs, rl) = match (
-            sorted.apply_deltas(batch, &limits),
-            legacy.apply_deltas(batch, &limits),
-        ) {
-            (Ok(a), Ok(b)) => (a, b),
-            (a, b) => {
-                complain(&format!(
-                    "storage: resident propagation failed: {a:?} / {b:?}"
-                ));
-                return failures + 1;
-            }
-        };
-        let strip = |r: &datalog_engine::incremental::DeltaReport| {
-            let mut r = *r;
-            r.wall_ns = 0;
-            r
-        };
-        if strip(&rs) != strip(&rl) {
-            complain(&format!(
-                "storage: resident batch reports diverge\n sorted: {rs:?}\n legacy: {rl:?}"
-            ));
-            failures += 1;
-        }
-        let rows_match = (0..sorted.database().pred_count()).all(|p| {
-            let id = datalog_engine::PredId(p as u32);
-            sorted
-                .database()
-                .relation(id)
-                .iter()
-                .eq(legacy.database().relation(id).iter())
-        });
-        if sorted.database().pred_count() != legacy.database().pred_count() || !rows_match {
-            complain("storage: resident databases diverge (row-id order)");
-            failures += 1;
-        }
-        if sorted.provenance() != legacy.provenance() {
-            complain("storage: resident provenance diverges");
-            failures += 1;
-        }
-    }
-    failures
-}
-
 /// Bound-soundness arm: the static size-bound analysis must never
 /// under-approximate. Analyze the program, evaluate its bounds at the
 /// instance's *true* EDB cardinalities, run the full fixpoint, and require
@@ -475,11 +334,6 @@ pub fn run_rounds(rounds: u64, base: u64, verbose: bool) -> u64 {
         // Incremental maintenance: resident frontier vs cold fixpoint, at
         // 1 and 4 threads, after every ingested batch.
         failures += incremental_differential(&program, &instance, |msg| {
-            complain!("seed {seed}: {msg}");
-        });
-        // Storage backends: sorted-run (default) vs legacy hash postings
-        // must be byte-identical everywhere, cold and resident.
-        failures += storage_differential(&program, &instance, |msg| {
             complain!("seed {seed}: {msg}");
         });
         // Static size bounds: actual derived counts never exceed the

@@ -3,13 +3,12 @@
 //! Workload generators and the experiment harness that regenerates every
 //! claim-backed table of the reproduction (DESIGN.md §5, EXPERIMENTS.md).
 //!
-//! *Why a harness and not just criterion?* The paper (PODS 1988, a theory
-//! paper) reports no absolute numbers; its performance claims are about
-//! machine-independent work — facts derived, duplicate-elimination hits,
-//! join scans. The harness prints those counters next to wall time so the
-//! *shape* of each claim (who wins, by how much, where it crosses over) is
-//! visible and reproducible. The criterion benches in `benches/` time the
-//! same program pairs for statistically careful wall-clock comparisons.
+//! *Why a harness and not a wall-clock micro-benchmark?* The paper (PODS
+//! 1988, a theory paper) reports no absolute numbers; its performance
+//! claims are about machine-independent work — facts derived,
+//! duplicate-elimination hits, join scans. The harness prints those
+//! counters next to wall time so the *shape* of each claim (who wins, by
+//! how much, where it crosses over) is visible and reproducible.
 //!
 //! Run everything:
 //!
@@ -18,7 +17,6 @@
 //! cargo run -p datalog-bench --release --bin harness -- e3 --json
 //! ```
 
-pub mod bench_support;
 pub mod experiments;
 pub mod fuzz;
 pub mod measure;

@@ -3,9 +3,9 @@
 //!
 //! A relation's rows stay append-only in insertion order (that contract is
 //! what semi-naive delta ranges and byte-identical parallel merges are built
-//! on); what changes is the *acceleration structure* beside them. Instead of
-//! a duplicate `seen: HashSet<Box<[Value]>>` plus hash postings per index,
-//! rows are covered by a small mutable tail and a stack of immutable sorted
+//! on); beside them sits the *acceleration structure*. Rather than a
+//! duplicate copy of every tuple plus hash postings per index, rows are
+//! covered by a small mutable tail and a stack of immutable sorted
 //! **runs**:
 //!
 //! - a **dedup run** ([`TupleRuns`]) holds `(tuple hash, id)` pairs for a
@@ -21,9 +21,9 @@
 //!
 //! Every run covers a contiguous id range and runs are stacked in range
 //! order, so emitting per-run group slices in run order (then the tail)
-//! yields ids in globally ascending order — exactly the order the legacy
-//! hash postings produced. That is the invariant that keeps evaluation
-//! byte-identical across storage backends.
+//! yields ids in globally ascending order. That is the invariant that keeps
+//! evaluation byte-identical however the runs happen to be sealed and
+//! merged.
 //!
 //! Runs are sealed at the freeze barrier (and when the tail exceeds
 //! [`TAIL_LIMIT`]) and consolidated geometrically so at most O(log n) runs
@@ -45,10 +45,6 @@ use datalog_ast::Value;
 /// Rows covered by the mutable tail before an automatic seal.
 pub const TAIL_LIMIT: usize = 1024;
 
-/// Legacy hash postings: projection key → ascending ids (std hashing —
-/// this is the preserved pre-sorted-run layout).
-pub type Postings = HashMap<Box<[Value]>, Vec<u32>>;
-
 /// Hasher state for run tails (see [`FastHasher`]). Tail maps are never
 /// iterated — only probed and cleared — so the hasher cannot leak into
 /// any observable ordering.
@@ -56,7 +52,7 @@ pub type FastBuild = std::hash::BuildHasherDefault<FastHasher>;
 
 /// A sorted-run index's mutable tail: projection key → ascending ids,
 /// fast-hashed (the tail is bounded by [`TAIL_LIMIT`] and hot).
-pub type TailPostings = HashMap<Box<[Value]>, Vec<u32>, FastBuild>;
+pub type TailGroups = HashMap<Box<[Value]>, Vec<u32>, FastBuild>;
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -556,8 +552,8 @@ impl IndexRun {
 #[derive(Debug, Clone, Default)]
 pub struct IndexRuns {
     runs: Vec<IndexRun>,
-    /// Postings for rows past the last sealed run.
-    tail: TailPostings,
+    /// Id groups for rows past the last sealed run.
+    tail: TailGroups,
 }
 
 impl IndexRuns {
@@ -738,8 +734,8 @@ impl IndexRuns {
     }
 
     /// Estimated heap footprint: run hash/key/id arrays + blooms + tail
-    /// postings.
-    pub fn bytes_estimate(&self, cols: usize) -> usize {
+    /// id groups.
+    pub fn bytes_estimate(&self) -> usize {
         let runs: usize = self
             .runs
             .iter()
@@ -752,20 +748,8 @@ impl IndexRuns {
             .iter()
             .map(|(k, v)| 16 + k.len() * std::mem::size_of::<Value>() + v.len() * 4 + 16)
             .sum();
-        let _ = cols;
         runs + tail
     }
-}
-
-/// Which backing structure a [`crate::relation::Relation`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageMode {
-    /// Append-only rows + duplicate `seen` set + hash postings (the
-    /// pre-sorted-run layout, kept as a differential-testing oracle).
-    Legacy,
-    /// Sorted runs + bounded tail (the default).
-    #[default]
-    SortedRun,
 }
 
 #[cfg(test)]

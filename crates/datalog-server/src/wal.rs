@@ -559,6 +559,15 @@ impl Wal {
         }
         // The swap: after this rename, recovery reads the new manifest.
         std::fs::rename(&tmp, manifest_path(&self.dir))?;
+        // The renames live in the directory entry, not in the files, and
+        // nothing orders them before the truncation below: after a power
+        // loss the log could be empty while the directory still names the
+        // old manifest (or no run files). Syncing the directory makes the
+        // swap durable before the log may shrink.
+        if self.fault.fsync_should_fail() {
+            return Err(std::io::Error::other("injected fsync failure"));
+        }
+        File::open(&self.dir)?.sync_all()?;
         // Only after the snapshot is durably in place may the log shrink.
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;

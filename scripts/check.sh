@@ -50,22 +50,29 @@ cleanup() {
     rm -rf "$smoke_dir"
 }
 trap cleanup EXIT
+# start_server <outfile> <args...>: spawn `xdl serve --port 0 <args...>`
+# with stdout to <outfile>, set serve_pid, and poll up to 5 s for the
+# announced address into addr. Fails if none appears; each caller names
+# its server in the error.
+start_server() {
+    serve_out=$1
+    shift
+    ./target/release/xdl serve --port 0 "$@" > "$serve_out" &
+    serve_pid=$!
+    addr=""
+    for _ in $(seq 1 50); do
+        addr=$(sed -n 's/^listening on //p' "$serve_out")
+        [ -n "$addr" ] && return 0
+        sleep 0.1
+    done
+    return 1
+}
 printf 'a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\np(1, 2).\np(2, 3).\n' \
     > "$smoke_dir/tc.dl"
 { cat "$smoke_dir/tc.dl"; printf '?- a(X, _).\n'; } > "$smoke_dir/run.dl"
 
-./target/release/xdl serve --port 0 --threads 2 > "$smoke_dir/serve.out" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve.out")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "check.sh: server did not announce its address" >&2
-    exit 1
-fi
+start_server "$smoke_dir/serve.out" --threads 2 \
+    || { echo "check.sh: server did not announce its address" >&2; exit 1; }
 ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tc.dl" \
     '?- a(X, _).' > "$smoke_dir/served.out"
 ./target/release/xdl run "$smoke_dir/run.dl" > "$smoke_dir/ran.out"
@@ -169,19 +176,9 @@ echo "check.sh: e13 recorded ($(ls bench_history | wc -l) history entries)"
 # resident-frontier answer is byte-identical to a server with residency
 # disabled (--resident-forms 0 forces invalidate-and-recompute).
 for forms in 8 0; do
-    ./target/release/xdl serve --port 0 --threads 2 --resident-forms "$forms" \
-        > "$smoke_dir/serve-inc$forms.out" &
-    serve_pid=$!
-    addr=""
-    for _ in $(seq 1 50); do
-        addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-inc$forms.out")
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "check.sh: incremental smoke server ($forms) did not announce" >&2
-        exit 1
-    fi
+    start_server "$smoke_dir/serve-inc$forms.out" --threads 2 \
+        --resident-forms "$forms" \
+        || { echo "check.sh: incremental smoke server ($forms) did not announce" >&2; exit 1; }
     ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tc.dl" \
         '?- a(X, _).' > /dev/null
     ./target/release/xdl query --connect "$addr" --fact 'p(3, 4).' \
@@ -207,19 +204,8 @@ echo "check.sh: e14 recorded ($(ls bench_history | wc -l) history entries)"
 # Bounded-staleness smoke: with every drain deferred (--drain-sync-cost 0)
 # a relaxed read (--any / --staleness 50) still answers off the published
 # frontier, and a fresh read catches up to byte-identity with `xdl run`.
-./target/release/xdl serve --port 0 --threads 2 --drain-sync-cost 0 \
-    > "$smoke_dir/serve-stale.out" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-stale.out")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "check.sh: staleness smoke server did not announce" >&2
-    exit 1
-fi
+start_server "$smoke_dir/serve-stale.out" --threads 2 --drain-sync-cost 0 \
+    || { echo "check.sh: staleness smoke server did not announce" >&2; exit 1; }
 ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tc.dl" \
     '?- a(X, _).' > /dev/null
 ./target/release/xdl query --connect "$addr" --fact 'p(3, 4).' --any \
@@ -258,38 +244,16 @@ echo "check.sh: e15 recorded ($(ls bench_history | wc -l) history entries)"
 # Crash-recovery smoke: ingest through a WAL-backed server, SIGKILL it
 # (no shutdown, no flush), restart on the same WAL directory, and demand
 # byte-identical query output.
-./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal" \
-    > "$smoke_dir/serve2.out" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve2.out")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "check.sh: WAL server did not announce its address" >&2
-    exit 1
-fi
+start_server "$smoke_dir/serve2.out" --threads 2 --wal "$smoke_dir/wal" \
+    || { echo "check.sh: WAL server did not announce its address" >&2; exit 1; }
 ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tc.dl" \
     --fact 'p(3, 4).' '?- a(X, _).' > "$smoke_dir/before-crash.out"
 kill -9 "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
-./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal" \
-    > "$smoke_dir/serve3.out" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve3.out")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "check.sh: restarted WAL server did not announce its address" >&2
-    exit 1
-fi
+start_server "$smoke_dir/serve3.out" --threads 2 --wal "$smoke_dir/wal" \
+    || { echo "check.sh: restarted WAL server did not announce its address" >&2; exit 1; }
 if ! grep -q '^recovered ' "$smoke_dir/serve3.out"; then
     echo "check.sh: restarted server reported no recovery" >&2
     exit 1
@@ -311,19 +275,9 @@ echo "check.sh: crash-recovery smoke ok"
 # run-file manifest instead of a pure text log. The restart must load the
 # run batches (a `recovered` line with nonzero run_files) and answer
 # byte-identically.
-./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal-man" \
-    --compact-every 4 > "$smoke_dir/serve-man.out" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-man.out")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "check.sh: manifest WAL server did not announce its address" >&2
-    exit 1
-fi
+start_server "$smoke_dir/serve-man.out" --threads 2 \
+    --wal "$smoke_dir/wal-man" --compact-every 4 \
+    || { echo "check.sh: manifest WAL server did not announce its address" >&2; exit 1; }
 ./target/release/xdl query --connect "$addr" --load "$smoke_dir/tc.dl" \
     --fact 'p(3, 4).' --fact 'p(4, 5).' --fact 'p(5, 6).' '?- a(X, _).' \
     > "$smoke_dir/before-man.out"
@@ -336,19 +290,9 @@ kill -9 "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
-./target/release/xdl serve --port 0 --threads 2 --wal "$smoke_dir/wal-man" \
-    --compact-every 4 > "$smoke_dir/serve-man2.out" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$smoke_dir/serve-man2.out")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "check.sh: restarted manifest server did not announce its address" >&2
-    exit 1
-fi
+start_server "$smoke_dir/serve-man2.out" --threads 2 \
+    --wal "$smoke_dir/wal-man" --compact-every 4 \
+    || { echo "check.sh: restarted manifest server did not announce its address" >&2; exit 1; }
 if ! grep -q '^recovered ' "$smoke_dir/serve-man2.out" \
     || ! grep -Eq '"run_files":[1-9]' "$smoke_dir/serve-man2.out"; then
     echo "check.sh: restart did not recover from run files:" >&2
@@ -367,9 +311,9 @@ wait "$serve_pid"
 serve_pid=""
 echo "check.sh: manifest-recovery smoke ok"
 
-# Storage experiment: record a quick E16 run (legacy postings vs sorted
-# runs on ingest / cold probes / crash recovery) alongside the committed
-# full-mode BENCH_e16.json.
+# Storage experiment: record a quick E16 run (sorted-run ingest, cold
+# probes with bloom skips, text-replay vs manifest crash recovery)
+# alongside the committed full-mode BENCH_e16.json.
 ./target/release/harness e16 --quick --json \
     > "bench_history/e16-$(date +%s).json"
 echo "check.sh: e16 recorded ($(ls bench_history | wc -l) history entries)"
