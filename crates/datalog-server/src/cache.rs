@@ -11,12 +11,14 @@
 //! recorded watermark.
 //!
 //! Ingestion invalidates *incrementally*: a new fact for predicate `p`
-//! clears the answer slots only of entries whose optimized program
+//! marks stale the answer slots only of entries whose optimized program
 //! transitively reads `p` (the dependency analysis of
 //! `datalog_opt::prepare::edb_support`, built on the same reachability
-//! machinery as the §3.1 connected-components phase). Prepared programs
-//! themselves are never invalidated by facts — the optimization depends
-//! only on the rules, which the fingerprint tracks.
+//! machinery as the §3.1 connected-components phase). A stale slot is kept,
+//! not cleared (see below); the watermark check alone decides whether it
+//! is still current. Prepared programs themselves are never invalidated by
+//! facts — the optimization depends only on the rules, which the
+//! fingerprint tracks.
 
 //! Since PR 7 an entry may additionally *pin a resident evaluation*
 //! ([`ResidentForm`]): the retained semi-naive state of
@@ -129,8 +131,6 @@ pub struct Entry {
     /// Consecutive failed rebuild attempts since the last healthy drain
     /// (drives the capped exponential backoff; reset on success).
     pub rebuild_attempts: u32,
-    /// How often this form was served without re-optimizing.
-    pub hits: u64,
     /// LRU clock value of the last use.
     last_used: u64,
 }
@@ -154,11 +154,6 @@ pub struct PreparedCache {
     /// `capacity`: prepared programs are cheap, resident databases are not.
     resident_capacity: usize,
     clock: u64,
-    /// Total answer-slot invalidations caused by ingestion.
-    pub invalidations: u64,
-    /// Times an eligible query found its resident evicted (or poisoned)
-    /// and had to recompute from cold.
-    pub fallback_recomputes: u64,
 }
 
 impl PreparedCache {
@@ -169,8 +164,6 @@ impl PreparedCache {
             capacity: capacity.max(1),
             resident_capacity: 0,
             clock: 0,
-            invalidations: 0,
-            fallback_recomputes: 0,
         }
     }
 
@@ -254,9 +247,8 @@ impl PreparedCache {
         self.entries.get_mut(key)
     }
 
-    /// Look up a form, bumping its LRU clock. Callers decide whether the
-    /// access counts as a reuse (bump [`Entry::hits`] themselves) — the
-    /// bookkeeping lookup after an evaluation should not inflate the count.
+    /// Look up a form, bumping its LRU clock (a query's use of the form;
+    /// bookkeeping goes through [`PreparedCache::peek_mut`]).
     pub fn get_mut(&mut self, key: &FormKey) -> Option<&mut Entry> {
         self.clock += 1;
         let clock = self.clock;
@@ -289,7 +281,6 @@ impl PreparedCache {
             pending_since: None,
             drain_queued: false,
             rebuild_attempts: 0,
-            hits: 0,
             last_used: clock,
         })
     }
@@ -309,13 +300,7 @@ impl PreparedCache {
                 }
             }
         }
-        self.invalidations += staled as u64;
         staled
-    }
-
-    /// Total prepared-form hits across all entries.
-    pub fn total_hits(&self) -> u64 {
-        self.entries.values().map(|e| e.hits).sum()
     }
 }
 
@@ -427,14 +412,17 @@ mod tests {
         cache.insert(k2.clone(), p2).answers = Some(memo);
         // A fact for p stales only the form over a (which reads p) — the
         // payload survives as the serve-while-draining asset.
-        assert_eq!(cache.invalidate_edb(&PredRef::new("p")), 1);
+        let staled = cache.invalidate_edb(&PredRef::new("p"));
+        assert_eq!(staled, 1);
         let a1 = cache.get_mut(&k1).unwrap().answers.as_ref().unwrap();
         assert!(a1.stale);
         assert!(!cache.get_mut(&k2).unwrap().answers.as_ref().unwrap().stale);
         // An unrelated predicate stales nothing; re-staling is not
         // double-counted.
-        assert_eq!(cache.invalidate_edb(&PredRef::new("zzz")), 0);
-        assert_eq!(cache.invalidate_edb(&PredRef::new("p")), 0);
-        assert_eq!(cache.invalidations, 1);
+        let unrelated = cache.invalidate_edb(&PredRef::new("zzz"));
+        assert_eq!(unrelated, 0);
+        let restaled = cache.invalidate_edb(&PredRef::new("p"));
+        assert_eq!(restaled, 0);
+        assert_eq!(staled + unrelated + restaled, 1);
     }
 }

@@ -18,8 +18,9 @@
 //! * **snapshot-isolated reads** (`datalog_engine::shared`): worker
 //!   threads evaluate against consistent watermark snapshots of the
 //!   append-only EDB while `FACT`/`LOAD` ingest concurrently;
-//! * **incremental invalidation**: a new fact clears memoized answers only
-//!   for forms whose optimized program transitively reads that predicate.
+//! * **incremental invalidation**: a new fact marks memoized answers stale
+//!   only for forms whose optimized program transitively reads that
+//!   predicate.
 //!
 //! Start it with `xdl serve [--port P] [--threads N]` and talk to it with
 //! `xdl query --connect ADDR` or any line-oriented TCP client (see

@@ -22,6 +22,30 @@
 //! equivalence of the optimized program is only guaranteed on IDB-empty
 //! inputs.
 //!
+//! ## The query path
+//!
+//! `QUERY` runs in stages:
+//!
+//! 1. **admit** — the in-flight budget and the request id;
+//! 2. **parse** — the validated, adorned program, its [`FormKey`], and
+//!    the snapshot, taken before the answer memo is consulted;
+//! 3. **plan** — under one hold of the cache lock, pick the answer
+//!    source: the watermark-valid memo, live resident state (fresh
+//!    catch-up or published frontier), an `ERR stale` refusal, or a cold
+//!    evaluation with its resident pin and derivation bound;
+//! 4. **execute → respond** — the source runs after the cache lock drops
+//!    (lock order is cache → form, and the cache lock is never held while
+//!    blocking on a form lock) and yields one answer. One respond step
+//!    then records the staleness and phase metrics, publishes the memo,
+//!    pins a built resident, stores the trace, writes the slow-query line,
+//!    and builds the response with `cache`, `answers`, `frontier`,
+//!    `staleness_us` and `wall_us`.
+//!
+//! The six `cache=` tags name the source: `answers` (memo), `resident`
+//! (resident frontier), `stale` (lagging frontier), `stale_answers` (memo,
+//! while a drain holds the form), `hit` and `miss` (cold evaluation of a
+//! cached or freshly optimized form).
+//!
 //! ## Fault tolerance
 //!
 //! The serving stack is built to refuse work it cannot finish rather than
@@ -104,7 +128,7 @@ use std::time::{Duration, Instant};
 
 use datalog_adorn::query_adornment;
 use datalog_ast::{
-    parse_atom, parse_program, parse_rule, Atom, PredRef, Program, Query, Rule, Value,
+    parse_atom, parse_program, parse_rule, Adornment, Atom, PredRef, Program, Query, Rule, Value,
 };
 use datalog_engine::incremental::{DeltaLimits, Fact as DeltaFact, ResidentEval};
 use datalog_engine::{
@@ -114,7 +138,7 @@ use datalog_engine::{
 use datalog_opt::{fingerprint_rules, prepare, OptimizerConfig, PreparedProgram};
 use datalog_trace::{Json, PhaseEvent};
 
-use crate::cache::{CachedAnswers, FormKey, PreparedCache, ResidentForm};
+use crate::cache::{CachedAnswers, Entry, FormKey, PreparedCache, ResidentForm};
 use crate::fault::FaultPlan;
 use crate::metrics::{verb_index, Phase, ServerMetrics};
 use crate::protocol::{Consistency, ErrCode, Request, Response, PROTOCOL_VERSION};
@@ -334,20 +358,52 @@ enum DrainJob {
     Rebuild { key: FormKey, attempt: u32 },
 }
 
-/// A snapshot of the answer memo taken under the cache lock, carried into
-/// stale-plan execution as the contention fallback: if the form lock is
-/// held by a drain, this payload can be served instead — its age
-/// (`published_at.elapsed()`) is a correct upper staleness bound.
-struct StaleMemo {
-    payload: String,
-    answers: usize,
-    frontier: u64,
-    published_at: Instant,
+/// The parse stage's output: one admitted, validated query plus the
+/// snapshot every answer source serves it from.
+struct QueryCtx {
+    /// Request id; it appears in the slow-query log so a line on stderr
+    /// can be correlated with client-side observations.
+    req_id: u64,
+    /// Arrival: the origin of `wall_us` and of the evaluation deadline.
+    started: Instant,
+    query: Query,
+    /// The server's rules plus `query` — what a cold miss optimizes.
+    program: Program,
+    adornment: Adornment,
+    key: FormKey,
+    /// The rendered query atom: the answer memo's exact-text key.
+    query_repr: String,
+    /// Taken before the answer memo is consulted: ingestion inserts the
+    /// fact first and stales after, so a slot whose watermarks still match
+    /// this snapshot cannot be stale.
+    snapshot: DbSnapshot,
+    /// When `snapshot` was taken: the staleness anchor for everything
+    /// served off it.
+    t_snap: Instant,
+    d_parse: Duration,
+    /// Start of the cache span (lock → plan → non-evaluating serve).
+    t_cache: Instant,
 }
 
-/// How an eligible query over *live* resident state is served. Decided
-/// under the cache lock from mirror-only data (lag, staleness anchor,
-/// drain cost), executed after the lock drops.
+/// How one query is answered, decided under a single hold of the cache
+/// lock and executed after it drops.
+enum Plan {
+    /// The answer memo's watermarks match the snapshot (`cache=answers`).
+    Memo(Served),
+    /// Serve live resident state.
+    Resident(ResidentPlan),
+    /// Frontier older than the staleness budget and the drain too costly
+    /// to run synchronously: answer `ERR stale <bound_ms>`. `queue_drain`
+    /// is set when this decision claimed the form's maintenance slot.
+    Refuse { bound_ms: u64, queue_drain: bool },
+    /// Evaluate from cold (`cache=hit` or `miss`).
+    Cold(ColdPlan),
+    /// The optimizer failed.
+    Error(Response),
+}
+
+/// How an eligible query over *live* resident state is served, decided
+/// from mirror-only data (lag, staleness anchor, drain cost).
 enum ResidentAction {
     /// Block on the form lock, propagate to the query snapshot, serve at
     /// staleness zero. Used for `fresh` reads and for over-budget bounded
@@ -356,16 +412,14 @@ enum ResidentAction {
     /// Serve the last published frontier without catching up. `anchor` is
     /// the conservative staleness origin — `pending_since` when the form
     /// lags, `None` when it was fully drained at decision time (the serve
-    /// is then indistinguishable from fresh); `budget` caps how old the
-    /// memo fallback may be under lock contention (`None` = any age).
+    /// is then indistinguishable from fresh). `memo` is the contention
+    /// fallback: if a drain holds the form lock, it is served instead when
+    /// its age fits `budget` (`None` = any age).
     Stale {
         anchor: Option<Instant>,
-        memo: Option<StaleMemo>,
+        memo: Option<CachedAnswers>,
         budget: Option<Duration>,
     },
-    /// Frontier older than the staleness budget and the drain too costly
-    /// to run synchronously: answer `ERR stale <bound_ms>`.
-    Refuse { bound_ms: u64 },
 }
 
 /// A [`ResidentAction`] plus everything needed to execute it without
@@ -378,8 +432,77 @@ struct ResidentPlan {
     action: ResidentAction,
 }
 
-/// One extraction off a locked form's frontier: the rendered payload plus
-/// the identity needed to memoize and label it.
+/// A cold evaluation, planned under the cache lock.
+struct ColdPlan {
+    /// `hit` (prepared form reused) or `miss` (optimized just now).
+    tag: &'static str,
+    /// The instantiated program, or — when `pin` is set — the form's
+    /// canonical program.
+    program: Program,
+    /// For a resident-eligible form, the query atom spliced into the
+    /// canonical program: evaluation then *builds* a [`ResidentEval`] (the
+    /// same cold fixpoint, keeping its working state) and pins it.
+    pin: Option<Atom>,
+    /// The form's EDB support set: the evaluation input and the memo's
+    /// watermark domain.
+    support: BTreeSet<PredRef>,
+    /// Static derivation bound and join-cost hints at live cardinalities.
+    bound: Option<(u64, Arc<BTreeMap<String, u64>>)>,
+    /// The form lost its resident (eviction or poisoning): a re-pin is the
+    /// lazy rebuild.
+    rebuild: bool,
+}
+
+/// One answer from any source, ready for [`ServerState::respond`].
+struct Served {
+    /// The `cache=` tag: `answers`, `resident`, `stale`, `stale_answers`,
+    /// `hit` or `miss`.
+    tag: &'static str,
+    payload: String,
+    answers: usize,
+    frontier: u64,
+    /// Upper staleness bound: zero unless served off a lagging frontier or
+    /// a stale memo.
+    staleness: Duration,
+    /// Memo to publish: the support watermarks the payload reflects and
+    /// its staleness origin.
+    publish: Option<(Vec<(PredRef, usize)>, Instant)>,
+    /// A resident built by a cold evaluation, and whether pinning it is a
+    /// lazy rebuild.
+    pin: Option<(Box<ResidentForm>, bool)>,
+    /// Set when the source evaluated.
+    eval: Option<EvalSpans>,
+    /// The TRACE document, when the plan built it under the cache lock.
+    trace: Option<Json>,
+}
+
+impl Served {
+    /// A serve straight off an answer memo.
+    fn memo(tag: &'static str, slot: &CachedAnswers, staleness: Duration) -> Served {
+        Served {
+            tag,
+            payload: slot.payload.clone(),
+            answers: slot.answers,
+            frontier: slot.frontier,
+            staleness,
+            publish: None,
+            pin: None,
+            eval: None,
+            trace: None,
+        }
+    }
+}
+
+/// The spans a cold evaluation closed, plus the start of the serialize
+/// span that [`ServerState::respond`] closes.
+struct EvalSpans {
+    d_cache: Duration,
+    d_eval: Duration,
+    t_serialize: Instant,
+    stats: EvalStats,
+}
+
+/// One extraction off a locked form's frontier.
 struct FrontierRead {
     payload: String,
     n_answers: usize,
@@ -905,12 +1028,8 @@ impl ServerState {
     ) -> bool {
         let result = {
             let mut g = lock(form);
-            self.propagate(support, &mut g, snapshot).map(|_| {
-                support
-                    .iter()
-                    .map(|p| (p.clone(), snapshot.count(p)))
-                    .collect::<BTreeMap<_, _>>()
-            })
+            self.propagate(support, &mut g, snapshot)
+                .map(|_| applied_at(snapshot, support))
         };
         match result {
             Ok(applied) => {
@@ -973,23 +1092,27 @@ impl ServerState {
             self.drain_one(key, form, support, &snapshot, t_snap);
         }
         if !deferred.is_empty() {
-            let sender = lock(&self.maintenance).clone();
-            match sender {
-                Some(tx) => {
-                    for key in deferred {
-                        let _ = tx.send(DrainJob::Drain(key));
-                    }
+            self.queue_drains(deferred);
+        }
+    }
+
+    /// Hand deferred drains to the maintenance thread. Without one, clear
+    /// the queued markers so a later ingest can reconsider; `pending_since`
+    /// keeps the staleness accounting honest and the next eligible query
+    /// catches up lazily.
+    fn queue_drains(&self, keys: Vec<FormKey>) {
+        let sender = lock(&self.maintenance).clone();
+        match sender {
+            Some(tx) => {
+                for key in keys {
+                    let _ = tx.send(DrainJob::Drain(key));
                 }
-                None => {
-                    // No maintenance thread: clear the queued marker so a
-                    // later ingest can reconsider; `pending_since` keeps the
-                    // staleness accounting honest and the next eligible
-                    // query catches up lazily.
-                    let mut cache = lock(&self.cache);
-                    for key in &deferred {
-                        if let Some(e) = cache.peek_mut(key) {
-                            e.drain_queued = false;
-                        }
+            }
+            None => {
+                let mut cache = lock(&self.cache);
+                for key in &keys {
+                    if let Some(e) = cache.peek_mut(key) {
+                        e.drain_queued = false;
                     }
                 }
             }
@@ -1097,21 +1220,13 @@ impl ServerState {
             let Some(e) = cache.peek_mut(key) else {
                 return Ok(false);
             };
-            if e.resident.is_some()
-                || !ResidentEval::supports(&e.prepared.program)
-                || !ResidentEval::admits_bound_class(e.prepared.bound_class)
-            {
+            if e.resident.is_some() || !self.resident_eligible(&e.prepared) {
                 return Ok(false);
             }
             (e.prepared.program.clone(), e.prepared.support.clone())
         };
         let (canonical, support) = staged;
-        let mut input = FactSet::new();
-        for pred in &support {
-            for row in snapshot.rows(pred) {
-                input.insert(pred.clone(), row);
-            }
-        }
+        let input = support_facts(&snapshot, &support);
         // The failing-drain fault also covers rebuilds: an armed plan
         // cancels the construction, exercising the repeatedly-poisoned
         // backoff path end to end.
@@ -1129,10 +1244,7 @@ impl ServerState {
         };
         match ResidentEval::new(&canonical, &input, &opts) {
             Ok(eval) => {
-                let applied = support
-                    .iter()
-                    .map(|p| (p.clone(), snapshot.count(p)))
-                    .collect();
+                let applied = applied_at(&snapshot, &support);
                 let mut cache = lock(&self.cache);
                 if cache.peek_mut(key).is_some_and(|e| e.resident.is_none())
                     && cache.pin_resident(key, ResidentForm { eval, applied })
@@ -1155,277 +1267,6 @@ impl ServerState {
                 Err(attempt)
             }
         }
-    }
-
-    /// Extract the query's answers off the form's current frontier (the
-    /// caller holds the form lock).
-    fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> FrontierRead {
-        let answers = form.eval.answers(q_atom);
-        FrontierRead {
-            payload: render_answers(&answers),
-            n_answers: answers.len(),
-            frontier: form.eval.frontier().version,
-            applied: form.applied.clone(),
-        }
-    }
-
-    /// Execute a [`ResidentPlan`] decided under the cache lock. `Some` is
-    /// the final response; `None` means the resident state died mid-plan
-    /// (poisoned — already counted and cleaned up) and the caller must
-    /// recompute from cold.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_resident_plan(
-        &self,
-        plan: ResidentPlan,
-        queue_drain: bool,
-        key: &FormKey,
-        query: &Query,
-        query_repr: &str,
-        snapshot: &DbSnapshot,
-        t_snap: Instant,
-        started: Instant,
-        req_id: u64,
-        d_parse: Duration,
-        t_cache: Instant,
-    ) -> Option<Response> {
-        match plan.action {
-            ResidentAction::Refuse { bound_ms } => {
-                if queue_drain {
-                    let sender = lock(&self.maintenance).clone();
-                    match sender {
-                        Some(tx) => {
-                            let _ = tx.send(DrainJob::Drain(key.clone()));
-                        }
-                        None => {
-                            if let Some(e) = lock(&self.cache).peek_mut(key) {
-                                e.drain_queued = false;
-                            }
-                        }
-                    }
-                }
-                self.metrics.stale_refusals.inc();
-                self.note_limit(
-                    "stale",
-                    &format!(
-                        "query over {} refused: resident frontier {bound_ms}ms stale, \
-                         drain too costly to run synchronously",
-                        key.pred
-                    ),
-                );
-                Some(Response::err_stale(
-                    bound_ms,
-                    "frontier exceeds staleness budget while a drain is pending; \
-                     retry, loosen the budget, or request fresh",
-                ))
-            }
-            ResidentAction::Fresh => {
-                // Blocking catch-up: lock the form, propagate to the query
-                // snapshot, serve at staleness zero.
-                let served = {
-                    let mut g = lock(&plan.form);
-                    match self.propagate(&plan.support, &mut g, snapshot) {
-                        Ok(_) => Some(Self::read_frontier(&g, &plan.q_atom)),
-                        Err(()) => None,
-                    }
-                };
-                let Some(read) = served else {
-                    self.poison_form(key);
-                    return None;
-                };
-                self.finish_drain(key, &read.applied, t_snap);
-                Some(self.respond_resident(
-                    key,
-                    query,
-                    query_repr,
-                    read,
-                    t_snap,
-                    Duration::ZERO,
-                    "resident",
-                    started,
-                    req_id,
-                    d_parse,
-                    t_cache,
-                ))
-            }
-            ResidentAction::Stale {
-                anchor,
-                memo,
-                budget,
-            } => {
-                // Serve the published frontier without catching up. Try the
-                // form lock first: a bounded/any reader must not queue
-                // behind a drain that is busy applying newer rows.
-                let grabbed = match plan.form.try_lock() {
-                    Ok(g) => Some(g),
-                    Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                    Err(std::sync::TryLockError::WouldBlock) => None,
-                };
-                let read = match grabbed {
-                    Some(g) => {
-                        if g.eval.poisoned() {
-                            drop(g);
-                            self.poison_form(key);
-                            return None;
-                        }
-                        Self::read_frontier(&g, &plan.q_atom)
-                    }
-                    None => {
-                        // Contended: the stale answer memo is the no-wait
-                        // asset when its age fits the budget; otherwise
-                        // block after all (still correct, just slower).
-                        if let Some(m) = memo {
-                            let age = m.published_at.elapsed();
-                            if budget.map_or(true, |b| age <= b) {
-                                return Some(self.respond_memo(
-                                    key, query, &m, age, started, req_id, d_parse, t_cache,
-                                ));
-                            }
-                        }
-                        let g = lock(&plan.form);
-                        if g.eval.poisoned() {
-                            drop(g);
-                            self.poison_form(key);
-                            return None;
-                        }
-                        Self::read_frontier(&g, &plan.q_atom)
-                    }
-                };
-                let (publish_anchor, staleness, tag) = match anchor {
-                    // Fully drained at decision time: the frontier serve is
-                    // indistinguishable from a fresh read.
-                    None => (t_snap, Duration::ZERO, "resident"),
-                    Some(a) => (a, a.elapsed(), "stale"),
-                };
-                Some(self.respond_resident(
-                    key,
-                    query,
-                    query_repr,
-                    read,
-                    publish_anchor,
-                    staleness,
-                    tag,
-                    started,
-                    req_id,
-                    d_parse,
-                    t_cache,
-                ))
-            }
-        }
-    }
-
-    /// Memoize + answer a frontier serve (`cache=resident` at staleness
-    /// zero, `cache=stale` otherwise). `publish_anchor` is the staleness
-    /// origin recorded on the memo — for a stale serve this is
-    /// `pending_since`, NOT now: the payload already misses rows that
-    /// arrived at the anchor, so aging must start there.
-    #[allow(clippy::too_many_arguments)]
-    fn respond_resident(
-        &self,
-        key: &FormKey,
-        query: &Query,
-        query_repr: &str,
-        read: FrontierRead,
-        publish_anchor: Instant,
-        staleness: Duration,
-        tag: &'static str,
-        started: Instant,
-        req_id: u64,
-        d_parse: Duration,
-        t_cache: Instant,
-    ) -> Response {
-        let trace = {
-            let mut cache = lock(&self.cache);
-            cache.peek_mut(key).map(|entry| {
-                // Memo-tag with the form's *applied* watermarks: if a drain
-                // raced us past the query snapshot, the served frontier is
-                // the newer (monotone superset) one, and the slot must
-                // advertise what was served.
-                let watermarks: Vec<(PredRef, usize)> = entry
-                    .prepared
-                    .support
-                    .iter()
-                    .map(|p| (p.clone(), read.applied.get(p).copied().unwrap_or(0)))
-                    .collect();
-                entry.answers = Some(CachedAnswers {
-                    query_repr: query_repr.to_string(),
-                    watermarks,
-                    payload: read.payload.clone(),
-                    answers: read.n_answers,
-                    frontier: read.frontier,
-                    published_at: publish_anchor,
-                    stale: !staleness.is_zero(),
-                });
-                Self::trace_json(query, key, tag, None, &entry.prepared)
-            })
-        };
-        if !staleness.is_zero() {
-            self.metrics.stale_serves.inc();
-        }
-        self.metrics
-            .staleness_bound_seconds
-            .record_duration(staleness);
-        let d_cache = t_cache.elapsed();
-        self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
-        if let Some(trace) = trace {
-            *lock(&self.last_trace) = Some(trace);
-        }
-        self.log_slow_query(
-            req_id,
-            key,
-            tag,
-            started,
-            &[("parse", d_parse), ("cache", d_cache)],
-            None,
-        );
-        Response::ok()
-            .with_info("cache", tag)
-            .with_info("answers", read.n_answers)
-            .with_info("frontier", read.frontier)
-            .with_info("staleness_us", staleness.as_micros())
-            .with_info("wall_us", started.elapsed().as_micros())
-            .with_payload_text(&read.payload)
-    }
-
-    /// Answer straight off the stale answer memo (`cache=stale_answers`):
-    /// the no-wait fallback when the form lock is contended. The reported
-    /// staleness is the memo's age since its publication anchor.
-    #[allow(clippy::too_many_arguments)]
-    fn respond_memo(
-        &self,
-        key: &FormKey,
-        query: &Query,
-        memo: &StaleMemo,
-        age: Duration,
-        started: Instant,
-        req_id: u64,
-        d_parse: Duration,
-        t_cache: Instant,
-    ) -> Response {
-        self.metrics.stale_serves.inc();
-        self.metrics.staleness_bound_seconds.record_duration(age);
-        let trace = lock(&self.cache)
-            .peek_mut(key)
-            .map(|entry| Self::trace_json(query, key, "stale_answers", None, &entry.prepared));
-        let d_cache = t_cache.elapsed();
-        self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
-        if let Some(trace) = trace {
-            *lock(&self.last_trace) = Some(trace);
-        }
-        self.log_slow_query(
-            req_id,
-            key,
-            "stale_answers",
-            started,
-            &[("parse", d_parse), ("cache", d_cache)],
-            None,
-        );
-        Response::ok()
-            .with_info("cache", "stale_answers")
-            .with_info("answers", memo.answers)
-            .with_info("frontier", memo.frontier)
-            .with_info("staleness_us", age.as_micros())
-            .with_info("wall_us", started.elapsed().as_micros())
-            .with_payload_text(&memo.payload)
     }
 
     fn handle_fact(&self, text: &str) -> Response {
@@ -1640,38 +1481,88 @@ impl ServerState {
         )
     }
 
+    /// Whether a prepared form may pin resident incremental state:
+    /// residency is on, the program is monotone
+    /// ([`ResidentEval::supports`]) and its bound class is admitted.
+    fn resident_eligible(&self, prepared: &PreparedProgram) -> bool {
+        self.resident_forms > 0
+            && ResidentEval::supports(&prepared.program)
+            && ResidentEval::admits_bound_class(prepared.bound_class)
+    }
+
+    /// `QUERY`: admit → parse → plan → execute → respond. Every answer
+    /// source yields one [`Served`], and [`Self::respond`] turns it into
+    /// the response.
     fn handle_query(&self, text: &str, consistency: Consistency) -> Response {
         let started = Instant::now();
-        // Admission control runs before any parsing or optimizer work:
-        // under overload the cheapest thing to do with a query is refuse it.
+        let (_inflight, req_id) = match self.admit() {
+            Ok(admitted) => admitted,
+            Err(resp) => return resp,
+        };
+        let ctx = match self.parse_query(text, started, req_id) {
+            Ok(ctx) => ctx,
+            Err(resp) => return resp,
+        };
+        let served = match self.plan(&ctx, consistency) {
+            Plan::Memo(served) => Ok(served),
+            Plan::Resident(plan) => match self.serve_resident(&ctx, plan) {
+                Some(served) => Ok(served),
+                // The resident died under us (poisoned, already cleaned
+                // up): recompute from cold this request; the rebuild is
+                // scheduled or lazy.
+                None => {
+                    self.metrics.fallback_recomputes.inc();
+                    self.replan_cold(&ctx)
+                        .and_then(|cold| self.serve_cold(&ctx, cold))
+                }
+            },
+            Plan::Refuse {
+                bound_ms,
+                queue_drain,
+            } => Err(self.refuse_stale(&ctx.key, bound_ms, queue_drain)),
+            Plan::Cold(cold) => self.serve_cold(&ctx, cold),
+            Plan::Error(resp) => Err(resp),
+        };
+        match served {
+            Ok(served) => self.respond(&ctx, served),
+            Err(resp) => resp,
+        }
+    }
+
+    /// Admit stage, before any parsing or optimizer work — under overload
+    /// the cheapest thing to do with a query is refuse it. Returns the
+    /// in-flight guard and the request id.
+    fn admit(&self) -> Result<(Decrement<'_>, u64), Response> {
         self.inflight.fetch_add(1, Ordering::AcqRel);
-        let _inflight = Decrement(&self.inflight);
+        let guard = Decrement(&self.inflight);
         if self.max_inflight > 0 && self.inflight.load(Ordering::Acquire) > self.max_inflight {
             self.metrics.shed_queries.inc();
             self.note_limit(
                 "busy",
                 &format!("query shed at in-flight budget {}", self.max_inflight),
             );
-            return Response::err_code(
+            return Err(Response::err_code(
                 ErrCode::Busy,
                 format!(
                     "server at query capacity ({} in flight), retry",
                     self.max_inflight
                 ),
-            );
+            ));
         }
-        // One id per admitted query; it appears in the slow-query log so a
-        // line on stderr can be correlated with client-side observations.
-        let req_id = self.metrics.next_request_id();
-        let parsed = match parse_program(text) {
-            Ok(p) => p,
-            Err(e) => return Response::err(e.render_at("query")),
-        };
+        Ok((guard, self.metrics.next_request_id()))
+    }
+
+    /// Parse stage: request text → validated, adorned program, its form
+    /// key, and the snapshot it is served from.
+    fn parse_query(&self, text: &str, started: Instant, req_id: u64) -> Result<QueryCtx, Response> {
+        let parsed = parse_program(text).map_err(|e| Response::err(e.render_at("query")))?;
         if !parsed.program.rules.is_empty() || !parsed.facts.is_empty() {
-            return Response::err("QUERY takes a single '?- atom.' (no rules or facts)");
+            return Err(Response::err(
+                "QUERY takes a single '?- atom.' (no rules or facts)",
+            ));
         }
         let Some(query) = parsed.program.query else {
-            return Response::err("QUERY takes a single '?- atom.'");
+            return Err(Response::err("QUERY takes a single '?- atom.'"));
         };
         if self
             .fault
@@ -1682,20 +1573,15 @@ impl ServerState {
                 query.atom.pred
             );
         }
-        let adornment = match query_adornment(&query) {
-            Ok(a) => a,
-            Err(e) => return Response::err(e.to_string()),
-        };
-
+        let adornment = query_adornment(&query).map_err(|e| Response::err(e.to_string()))?;
         let (rules, fingerprint) = {
             let g = read_lock(&self.rules);
             (g.0.clone(), g.1)
         };
         let program = Program::with_query(rules, query.clone());
-        if let Err(e) = program.validate() {
-            return Response::err(e.to_string());
-        }
-        // Parse span: request text → validated, adorned program.
+        program
+            .validate()
+            .map_err(|e| Response::err(e.to_string()))?;
         let d_parse = started.elapsed();
         self.metrics.phase_seconds[Phase::Parse as usize].record_duration(d_parse);
         let key = FormKey {
@@ -1704,291 +1590,304 @@ impl ServerState {
             adornment: adornment.to_string(),
         };
         let query_repr = query.atom.to_string();
-
-        // Snapshot before consulting the answer slot: ingestion inserts the
-        // fact first and invalidates after, so a slot whose watermarks still
-        // match this snapshot cannot be stale. `t_snap` is the staleness
-        // anchor for everything served off this snapshot.
         let t_snap = Instant::now();
         let snapshot = self.db.snapshot();
         self.metrics.queries.inc();
+        Ok(QueryCtx {
+            req_id,
+            started,
+            query,
+            program,
+            adornment,
+            key,
+            query_repr,
+            snapshot,
+            t_snap,
+            d_parse,
+            t_cache: Instant::now(),
+        })
+    }
 
-        let t_cache = Instant::now();
+    /// Plan stage, under one hold of the cache lock: the memo if its
+    /// watermarks match, else live resident state, else cold evaluation.
+    fn plan(&self, ctx: &QueryCtx, consistency: Consistency) -> Plan {
         let mut cache = lock(&self.cache);
-        // `pin` (canonical program + spliced query atom) marks an eligible
-        // form whose evaluation should build a ResidentEval instead of a
-        // throwaway fixpoint (pinning re-checks residency under the lock).
-        #[allow(clippy::type_complexity)]
-        let mut resolved: Option<(
-            &'static str,
-            Program,
-            std::collections::BTreeSet<PredRef>,
-            Option<(Program, Atom)>,
-            Option<(u64, Arc<std::collections::BTreeMap<String, u64>>)>,
-        )> = None;
-        // Serving plan for live resident state: decided under the cache
-        // lock, executed after it drops (lock order — the cache lock is
-        // never held while blocking on a form lock).
-        let mut plan: Option<ResidentPlan> = None;
-        let mut queue_drain = false;
-        let mut fallback = false;
-        if let Some(entry) = cache.get_mut(&key) {
-            entry.hits += 1;
-            self.metrics.prepared_hits.inc();
-            if let Some(slot) = &entry.answers {
-                if slot.query_repr == query_repr
-                    && slot.watermarks == snapshot.watermarks_for(&entry.prepared.support)
-                {
-                    // Serve the memoized payload: no eval, no optimizer,
-                    // zero new phase events. Watermark match means no
-                    // acknowledged row is missing — staleness zero in any
-                    // consistency mode.
-                    self.metrics.answer_hits.inc();
-                    self.metrics
-                        .staleness_bound_seconds
-                        .record_duration(Duration::ZERO);
-                    let resp = Response::ok()
-                        .with_info("cache", "answers")
-                        .with_info("answers", slot.answers)
-                        .with_info("frontier", slot.frontier)
-                        .with_info("staleness_us", 0)
-                        .with_info("wall_us", started.elapsed().as_micros())
-                        .with_payload_text(&slot.payload);
-                    let trace = Self::trace_json(&query, &key, "answers", None, &entry.prepared);
-                    drop(cache);
-                    let d_cache = t_cache.elapsed();
-                    self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
-                    *lock(&self.last_trace) = Some(trace);
-                    self.log_slow_query(
-                        req_id,
-                        &key,
-                        "answers",
-                        started,
-                        &[("parse", d_parse), ("cache", d_cache)],
-                        None,
-                    );
-                    return resp;
-                }
-            }
-            let eligible = self.resident_forms > 0
-                && ResidentEval::supports(&entry.prepared.program)
-                && ResidentEval::admits_bound_class(entry.prepared.bound_class);
-            if eligible {
-                if let (Some(form), Some(q_atom)) = (
-                    entry.resident.as_ref(),
-                    entry.prepared.instantiate_atom(&query.atom),
-                ) {
-                    // Decide how to serve live resident state. Lag and the
-                    // staleness anchor come from the mirror — no form lock.
-                    let lag = snapshot.lag_from(&entry.prepared.support, &entry.applied_mirror);
-                    let anchor = entry.pending_since.unwrap_or(t_snap);
-                    let staleness_now = anchor.elapsed();
-                    let budget = match consistency {
-                        Consistency::Bounded(d) => Some(Duration::from_millis(d)),
-                        _ => None,
-                    };
-                    let memo = entry
-                        .answers
-                        .as_ref()
-                        .filter(|s| s.query_repr == query_repr)
-                        .map(|s| StaleMemo {
-                            payload: s.payload.clone(),
-                            answers: s.answers,
-                            frontier: s.frontier,
-                            published_at: s.published_at,
-                        });
-                    let decided = match consistency {
-                        Consistency::Fresh => ResidentAction::Fresh,
-                        // Fully drained: the frontier IS fresh; serve it via
-                        // try-lock so this read never queues behind a drain
-                        // that is applying even newer rows.
-                        _ if lag == 0 => ResidentAction::Stale {
-                            anchor: None,
-                            memo,
-                            budget,
-                        },
-                        // Defensive: lag without an anchor (should not
-                        // happen — drains set `pending_since` before
-                        // releasing the cache lock). Correctness first.
-                        _ if entry.pending_since.is_none() => ResidentAction::Fresh,
-                        Consistency::Any => ResidentAction::Stale {
-                            anchor: Some(anchor),
-                            memo,
-                            budget,
-                        },
-                        Consistency::Bounded(d) if staleness_now.as_millis() <= u128::from(d) => {
-                            ResidentAction::Stale {
-                                anchor: Some(anchor),
-                                memo,
-                                budget,
-                            }
-                        }
-                        Consistency::Bounded(_) => {
-                            // Over budget: catch up synchronously only when
-                            // the bound polynomial says the drain is cheap;
-                            // otherwise refuse and make sure a drain is on
-                            // its way.
-                            let cost =
-                                Self::drain_cost(&entry.prepared, &snapshot, &entry.applied_mirror);
-                            if cost <= self.drain_sync_cost {
-                                ResidentAction::Fresh
-                            } else {
-                                if !entry.drain_queued {
-                                    entry.drain_queued = true;
-                                    queue_drain = true;
-                                }
-                                ResidentAction::Refuse {
-                                    bound_ms: staleness_now.as_millis().min(u128::from(u64::MAX))
-                                        as u64,
-                                }
-                            }
-                        }
-                    };
-                    plan = Some(ResidentPlan {
-                        form: Arc::clone(form),
-                        support: entry.prepared.support.clone(),
-                        q_atom,
-                        action: decided,
-                    });
-                } else if entry.resident.is_none() {
-                    // Evicted by the resident LRU, or dropped earlier as
-                    // poisoned: recompute from cold and re-pin below — the
-                    // lazy rebuild (no background loop required).
-                    fallback = true;
-                }
-            }
-            let pin = eligible
-                .then(|| {
-                    entry
-                        .prepared
-                        .instantiate_atom(&query.atom)
-                        .map(|qa| (entry.prepared.program.clone(), qa))
-                })
-                .flatten();
-            let bound_info = Self::live_bound(&entry.prepared, &snapshot);
-            resolved = entry.prepared.instantiate(&query.atom).map(|p| {
-                (
-                    "hit",
-                    p,
-                    entry.prepared.support.clone(),
-                    pin,
-                    Some(bound_info),
-                )
-            });
+        let Some(entry) = cache.get_mut(&ctx.key) else {
+            return self
+                .plan_miss(&mut cache, ctx)
+                .map_or_else(Plan::Error, Plan::Cold);
+        };
+        self.metrics.prepared_hits.inc();
+        if let Some(slot) = entry.answers.as_ref().filter(|s| {
+            s.query_repr == ctx.query_repr
+                && s.watermarks == ctx.snapshot.watermarks_for(&entry.prepared.support)
+        }) {
+            // No eval, no optimizer, zero new phase events. Watermark
+            // match means no acknowledged row is missing — staleness zero
+            // in any consistency mode.
+            self.metrics.answer_hits.inc();
+            let mut served = Served::memo("answers", slot, Duration::ZERO);
+            served.trace = Some(Self::trace_json(ctx, "answers", false, &entry.prepared));
+            return Plan::Memo(served);
         }
-        if fallback {
-            cache.fallback_recomputes += 1;
+        let eligible = self.resident_eligible(&entry.prepared);
+        if eligible {
+            if let (Some(form), Some(q_atom)) = (
+                entry.resident.clone(),
+                entry.prepared.instantiate_atom(&ctx.query.atom),
+            ) {
+                return self.plan_resident(entry, form, q_atom, ctx, consistency);
+            }
+        }
+        // Evicted by the resident LRU, or dropped earlier as poisoned:
+        // recompute from cold and re-pin — the lazy rebuild (no background
+        // loop required).
+        let rebuild = eligible && entry.resident.is_none();
+        if rebuild {
             self.metrics.fallback_recomputes.inc();
         }
-        if let Some(plan) = plan {
-            drop(cache);
-            match self.execute_resident_plan(
-                plan,
-                queue_drain,
-                &key,
-                &query,
-                &query_repr,
-                &snapshot,
-                t_snap,
-                started,
-                req_id,
-                d_parse,
-                t_cache,
-            ) {
-                Some(resp) => return resp,
-                None => {
-                    // The plan died under us (propagation poisoned the
-                    // state, already cleaned up): recompute from cold this
-                    // request; the rebuild is scheduled or lazy.
-                    {
-                        let mut cache = lock(&self.cache);
-                        cache.fallback_recomputes += 1;
-                    }
-                    self.metrics.fallback_recomputes.inc();
-                    fallback = true;
-                    cache = lock(&self.cache);
-                }
+        Plan::Cold(self.plan_cold("hit", &entry.prepared, ctx, rebuild))
+    }
+
+    /// Decide how to serve a form's live resident state. Lag and the
+    /// staleness anchor come from the mirror — no form lock.
+    fn plan_resident(
+        &self,
+        entry: &mut Entry,
+        form: Arc<Mutex<ResidentForm>>,
+        q_atom: Atom,
+        ctx: &QueryCtx,
+        consistency: Consistency,
+    ) -> Plan {
+        let lag = ctx
+            .snapshot
+            .lag_from(&entry.prepared.support, &entry.applied_mirror);
+        let anchor = entry.pending_since.unwrap_or(ctx.t_snap);
+        let staleness_now = anchor.elapsed();
+        let budget = match consistency {
+            Consistency::Bounded(d) => Some(Duration::from_millis(d)),
+            _ => None,
+        };
+        let stale = |anchor: Option<Instant>, entry: &Entry| ResidentAction::Stale {
+            anchor,
+            memo: entry
+                .answers
+                .as_ref()
+                .filter(|s| s.query_repr == ctx.query_repr)
+                .cloned(),
+            budget,
+        };
+        let action = match consistency {
+            Consistency::Fresh => ResidentAction::Fresh,
+            // Fully drained: the frontier IS fresh; serve it via try-lock
+            // so this read never queues behind a drain that is applying
+            // even newer rows.
+            _ if lag == 0 => stale(None, entry),
+            // Defensive: lag without an anchor (should not happen — drains
+            // set `pending_since` before releasing the cache lock).
+            // Correctness first.
+            _ if entry.pending_since.is_none() => ResidentAction::Fresh,
+            Consistency::Any => stale(Some(anchor), entry),
+            Consistency::Bounded(d) if staleness_now.as_millis() <= u128::from(d) => {
+                stale(Some(anchor), entry)
             }
-        }
-        let (status, eval_program, support, pin, bound_info) = match resolved {
-            Some(t) => t,
-            None => {
-                self.metrics.cache_misses.inc();
-                let prepared = match prepare(
-                    &program.rules,
-                    &query.atom.pred,
-                    &adornment,
-                    &OptimizerConfig {
-                        verify: self.verify,
-                        ..OptimizerConfig::default()
-                    },
-                ) {
-                    Ok(p) => p,
-                    Err(e) => return Response::err(format!("optimizer: {e}")),
-                };
-                let entry = cache.insert(key.clone(), prepared);
-                let bound_info = Self::live_bound(&entry.prepared, &snapshot);
-                match entry.prepared.instantiate(&query.atom) {
-                    Some(p) => {
-                        let pin = (self.resident_forms > 0
-                            && ResidentEval::supports(&entry.prepared.program)
-                            && ResidentEval::admits_bound_class(entry.prepared.bound_class))
-                        .then(|| {
-                            entry
-                                .prepared
-                                .instantiate_atom(&query.atom)
-                                .map(|qa| (entry.prepared.program.clone(), qa))
-                        })
-                        .flatten();
-                        (
-                            "miss",
-                            p,
-                            entry.prepared.support.clone(),
-                            pin,
-                            Some(bound_info),
-                        )
-                    }
-                    // Defensive: fall back to the unoptimized program; its
-                    // support is computed directly so cached answers still
-                    // invalidate correctly.
-                    None => (
-                        "miss",
-                        program.clone(),
-                        datalog_opt::edb_support(&program),
-                        None,
-                        None,
-                    ),
+            // Over budget: catch up synchronously only when the bound
+            // polynomial says the drain is cheap; otherwise refuse and make
+            // sure a drain is on its way.
+            Consistency::Bounded(_) => {
+                let cost = Self::drain_cost(&entry.prepared, &ctx.snapshot, &entry.applied_mirror);
+                if cost > self.drain_sync_cost {
+                    let queue_drain = !entry.drain_queued;
+                    entry.drain_queued = true;
+                    return Plan::Refuse {
+                        bound_ms: staleness_now.as_millis().min(u128::from(u64::MAX)) as u64,
+                        queue_drain,
+                    };
                 }
+                ResidentAction::Fresh
             }
         };
-        drop(cache);
-        // Cache span: lock → memoized answers / prepared form / cold
-        // prepare. On a cold miss this includes the optimizer run — the
-        // cost the prepared-query cache exists to amortize.
-        let d_cache = t_cache.elapsed();
-        self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
+        Plan::Resident(ResidentPlan {
+            form,
+            support: entry.prepared.support.clone(),
+            q_atom,
+            action,
+        })
+    }
 
-        // Bound-aware admission: the prepared form carries a static
-        // derivation bound (a polynomial in EDB cardinalities); evaluated
-        // against this snapshot's live counts it upper-bounds what the
-        // fixpoint can derive. If that certified ceiling already exceeds
-        // the fact budget, the budget trip is inevitable — refuse now,
-        // before a single evaluation iteration, instead of burning the
-        // budget to find out.
-        if let (true, Some(budget), Some((bound, _))) =
-            (self.bound_admission, self.fact_budget, bound_info.as_ref())
-        {
-            if *bound > budget {
-                self.metrics.admission_rejected.inc();
-                let detail = format!(
-                    "static derivation bound {bound} facts exceeds fact budget {budget} \
-                     at current cardinalities; refused before evaluation"
-                );
-                self.note_limit("bound", &detail);
-                return Response::err_code(ErrCode::Bound, detail);
-            }
+    /// A form seen for the first time: optimize it under the cache lock
+    /// (serializing `prepare` deduplicates concurrent cold misses of the
+    /// same form), cache it, and plan its cold evaluation.
+    fn plan_miss(&self, cache: &mut PreparedCache, ctx: &QueryCtx) -> Result<ColdPlan, Response> {
+        self.metrics.cache_misses.inc();
+        let config = OptimizerConfig {
+            verify: self.verify,
+            ..OptimizerConfig::default()
+        };
+        let prepared = prepare(
+            &ctx.program.rules,
+            &ctx.query.atom.pred,
+            &ctx.adornment,
+            &config,
+        )
+        .map_err(|e| Response::err(format!("optimizer: {e}")))?;
+        let entry = cache.insert(ctx.key.clone(), prepared);
+        Ok(self.plan_cold("miss", &entry.prepared, ctx, false))
+    }
+
+    /// Plan a cold evaluation of a cached form: a resident build when the
+    /// form is eligible, the instantiated program otherwise.
+    fn plan_cold(
+        &self,
+        tag: &'static str,
+        prepared: &PreparedProgram,
+        ctx: &QueryCtx,
+        rebuild: bool,
+    ) -> ColdPlan {
+        let atom = &ctx.query.atom;
+        let pin = self
+            .resident_eligible(prepared)
+            .then(|| prepared.instantiate_atom(atom))
+            .flatten();
+        let program = match pin {
+            Some(_) => Some(prepared.program.clone()),
+            None => prepared.instantiate(atom),
+        };
+        match program {
+            Some(program) => ColdPlan {
+                tag,
+                program,
+                pin,
+                support: prepared.support.clone(),
+                bound: Some(Self::live_bound(prepared, &ctx.snapshot)),
+                rebuild,
+            },
+            // Defensive: the atom does not fit the form. Evaluate the
+            // unoptimized program; its support is computed directly so the
+            // memo still invalidates correctly.
+            None => ColdPlan {
+                tag,
+                program: ctx.program.clone(),
+                pin: None,
+                support: datalog_opt::edb_support(&ctx.program),
+                bound: None,
+                rebuild: false,
+            },
         }
+    }
 
+    /// Plan the cold recompute of a form whose resident died mid-serve.
+    fn replan_cold(&self, ctx: &QueryCtx) -> Result<ColdPlan, Response> {
+        let mut cache = lock(&self.cache);
+        match cache.peek_mut(&ctx.key) {
+            Some(entry) => Ok(self.plan_cold("hit", &entry.prepared, ctx, true)),
+            None => self.plan_miss(&mut cache, ctx),
+        }
+    }
+
+    /// Execute a [`ResidentPlan`] after the cache lock dropped. `None`
+    /// means the resident state died mid-plan (poisoned — already counted
+    /// and cleaned up) and the caller must recompute from cold.
+    fn serve_resident(&self, ctx: &QueryCtx, plan: ResidentPlan) -> Option<Served> {
+        let (read, anchor) = match plan.action {
+            ResidentAction::Fresh => {
+                // Blocking catch-up: lock the form, propagate to the query
+                // snapshot, serve at staleness zero.
+                let read = {
+                    let mut g = lock(&plan.form);
+                    self.propagate(&plan.support, &mut g, &ctx.snapshot)
+                        .ok()
+                        .map(|_| Self::read_frontier(&g, &plan.q_atom))
+                };
+                let Some(read) = read else {
+                    self.poison_form(&ctx.key);
+                    return None;
+                };
+                self.finish_drain(&ctx.key, &read.applied, ctx.t_snap);
+                (read, None)
+            }
+            ResidentAction::Stale {
+                anchor,
+                memo,
+                budget,
+            } => {
+                // Serve the published frontier without catching up. Try the
+                // form lock first: a bounded/any reader must not queue
+                // behind a drain that is busy applying newer rows.
+                let g = match plan.form.try_lock() {
+                    Ok(g) => g,
+                    Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
+                    Err(std::sync::TryLockError::WouldBlock) => {
+                        // Contended: the stale answer memo is the no-wait
+                        // asset when its age fits the budget; otherwise
+                        // block after all (still correct, just slower).
+                        if let Some(m) = memo {
+                            let age = m.published_at.elapsed();
+                            if budget.map_or(true, |b| age <= b) {
+                                return Some(Served::memo("stale_answers", &m, age));
+                            }
+                        }
+                        lock(&plan.form)
+                    }
+                };
+                if g.eval.poisoned() {
+                    drop(g);
+                    self.poison_form(&ctx.key);
+                    return None;
+                }
+                (Self::read_frontier(&g, &plan.q_atom), anchor)
+            }
+        };
+        // Memo-tag with the form's *applied* watermarks: if a drain raced
+        // us past the query snapshot, the served frontier is the newer
+        // (monotone superset) one, and the slot must advertise what was
+        // served. A stale serve publishes at its `pending_since` anchor,
+        // not now: the payload already misses rows that arrived then.
+        let watermarks = plan
+            .support
+            .iter()
+            .map(|p| (p.clone(), read.applied.get(p).copied().unwrap_or(0)))
+            .collect();
+        Some(Served {
+            // No anchor: fully drained, indistinguishable from fresh.
+            tag: if anchor.is_some() {
+                "stale"
+            } else {
+                "resident"
+            },
+            payload: read.payload,
+            answers: read.n_answers,
+            frontier: read.frontier,
+            staleness: anchor.map_or(Duration::ZERO, |a| a.elapsed()),
+            publish: Some((watermarks, anchor.unwrap_or(ctx.t_snap))),
+            pin: None,
+            eval: None,
+            trace: None,
+        })
+    }
+
+    /// Extract the query's answers off the form's current frontier (the
+    /// caller holds the form lock).
+    fn read_frontier(form: &ResidentForm, q_atom: &Atom) -> FrontierRead {
+        let answers = form.eval.answers(q_atom);
+        FrontierRead {
+            payload: render_answers(&answers),
+            n_answers: answers.len(),
+            frontier: form.eval.frontier().version,
+            applied: form.applied.clone(),
+        }
+    }
+
+    /// Execute a [`ColdPlan`]: bound-aware admission, then a full fixpoint
+    /// over the snapshot. A query that trips a limit is answered with its
+    /// partial stats and neither memoized nor pinned: the cache must never
+    /// serve a truncated table.
+    fn serve_cold(&self, ctx: &QueryCtx, cold: ColdPlan) -> Result<Served, Response> {
+        // Cache span: lock → plan (on a cold miss this includes the
+        // optimizer run — the cost the prepared-query cache amortizes).
+        let d_cache = ctx.t_cache.elapsed();
+        self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
+        self.admit_bound(cold.bound.as_ref().map(|(bound, _)| *bound))?;
         let opts = EvalOptions {
             boolean_cut: true,
             // The serving path defaults both on: reordered joins (cheapest
@@ -1999,170 +1898,213 @@ impl ServerState {
             threads: self.eval_threads,
             deadline: self
                 .deadline_ms
-                .map(|ms| started + Duration::from_millis(ms)),
+                .map(|ms| ctx.started + Duration::from_millis(ms)),
             fact_budget: self.fact_budget,
             cancel: Some(self.cancel.clone()),
             metrics: Some(self.metrics.eval.clone()),
-            // Join-reorder cost hints from the bounds analysis, evaluated
-            // at this snapshot's cardinalities: ties in the greedy order
-            // break toward the predicate with the smaller derivation bound.
-            cost_hints: bound_info.as_ref().map(|(_, h)| h.clone()),
+            // Join-reorder cost hints from the bounds analysis: ties in the
+            // greedy order break toward the smaller derivation bound.
+            cost_hints: cold.bound.as_ref().map(|(_, h)| h.clone()),
             ..EvalOptions::default()
         };
+        let failed = |e: EngineError| {
+            if e.is_limit() {
+                self.limit_response(&e)
+            } else {
+                Response::err(format!("evaluation: {e}"))
+            }
+        };
         let t_eval = Instant::now();
-        // An eligible form without resident state evaluates by *building*
-        // it: `ResidentEval::new` runs the same cold fixpoint, it just
-        // keeps its working state for later delta propagation. The input
-        // is restricted to the form's support set — the EDB predicates
-        // reachable from the query, the only ones that can affect its
-        // answers.
-        let mut pinned: Option<ResidentEval> = None;
-        let (answers, eval_stats) = if let Some((canonical, q_atom)) = &pin {
-            let mut input = FactSet::new();
-            for pred in &support {
-                for row in snapshot.rows(pred) {
-                    input.insert(pred.clone(), row);
-                }
+        let (answers, stats, built) = match &cold.pin {
+            Some(q_atom) => {
+                let input = support_facts(&ctx.snapshot, &cold.support);
+                let resident = ResidentEval::new(&cold.program, &input, &opts).map_err(failed)?;
+                (
+                    resident.answers(q_atom),
+                    resident.initial_stats(),
+                    Some(resident),
+                )
             }
-            match ResidentEval::new(canonical, &input, &opts) {
-                Ok(resident) => {
-                    let answers = resident.answers(q_atom);
-                    let stats = resident.initial_stats();
-                    pinned = Some(resident);
-                    (answers, stats)
-                }
-                // A tripped query is answered with its partial stats, NOT
-                // memoized, and nothing is pinned.
-                Err(e) if e.is_limit() => return self.limit_response(&e),
-                Err(e) => return Response::err(format!("evaluation: {e}")),
-            }
-        } else {
-            let facts = snapshot.to_factset();
-            match query_answers_full(&eval_program, &facts, &opts) {
-                Ok((answers, out)) => (answers, out.stats),
-                // A tripped query is answered with its partial stats and NOT
-                // memoized: the cache must never serve a truncated table.
-                Err(e) if e.is_limit() => return self.limit_response(&e),
-                Err(e) => return Response::err(format!("evaluation: {e}")),
+            None => {
+                let facts = ctx.snapshot.to_factset();
+                let (answers, out) =
+                    query_answers_full(&cold.program, &facts, &opts).map_err(failed)?;
+                (answers, out.stats, None)
             }
         };
         let d_eval = t_eval.elapsed();
         self.metrics.phase_seconds[Phase::Eval as usize].record_duration(d_eval);
-
         let t_serialize = Instant::now();
-        let payload = render_answers(&answers);
-        // Frontier identity of this serve: the freshly built resident's
-        // version when one was pinned, the DB snapshot version otherwise.
-        let frontier = pinned
-            .as_ref()
-            .map(|r| r.frontier().version)
-            .unwrap_or_else(|| snapshot.version());
+        Ok(Served {
+            tag: cold.tag,
+            payload: render_answers(&answers),
+            answers: answers.len(),
+            // The built resident's frontier version, else the snapshot's.
+            frontier: built
+                .as_ref()
+                .map_or_else(|| ctx.snapshot.version(), |r| r.frontier().version),
+            staleness: Duration::ZERO,
+            publish: Some((ctx.snapshot.watermarks_for(&cold.support), ctx.t_snap)),
+            // `applied` records the snapshot the state was built from, so
+            // the next catch-up starts exactly where construction stopped.
+            pin: built.map(|eval| {
+                let applied = applied_at(&ctx.snapshot, &cold.support);
+                (Box::new(ResidentForm { eval, applied }), cold.rebuild)
+            }),
+            eval: Some(EvalSpans {
+                d_cache,
+                d_eval,
+                t_serialize,
+                stats,
+            }),
+            trace: None,
+        })
+    }
 
-        let mut cache = lock(&self.cache);
-        let trace = cache.get_mut(&key).map(|entry| {
-            entry.answers = Some(CachedAnswers {
-                query_repr,
-                watermarks: snapshot.watermarks_for(&support),
-                payload: payload.clone(),
-                answers: answers.len(),
-                frontier,
-                published_at: t_snap,
-                stale: false,
-            });
-            Self::trace_json(
-                &query,
-                &key,
-                status,
-                (status == "miss").then_some(()),
-                &entry.prepared,
-            )
-        });
-        if let Some(resident) = pinned {
-            // Pin unless a concurrent query beat us to it. `applied`
-            // records the snapshot this state was built from, so the next
-            // catch-up starts exactly where construction stopped.
-            if cache.get_mut(&key).is_some_and(|e| e.resident.is_none()) {
-                let applied = support
-                    .iter()
-                    .map(|p| (p.clone(), snapshot.count(p)))
-                    .collect();
-                let pinned_now = cache.pin_resident(
-                    &key,
-                    ResidentForm {
-                        eval: resident,
-                        applied,
-                    },
-                );
-                // A re-pin after eviction or poisoning IS the lazy rebuild
-                // (satellite of the self-healing loop): count it.
-                if pinned_now && fallback {
-                    self.metrics.resident_rebuilds.inc();
-                }
-            }
+    /// Bound-aware admission: the static derivation bound at the snapshot's
+    /// live counts upper-bounds what the fixpoint can derive. If that
+    /// certified ceiling already exceeds the fact budget, the budget trip is
+    /// inevitable — refuse with `ERR bound` before a single iteration.
+    fn admit_bound(&self, bound: Option<u64>) -> Result<(), Response> {
+        let (true, Some(budget), Some(bound)) = (self.bound_admission, self.fact_budget, bound)
+        else {
+            return Ok(());
+        };
+        if bound <= budget {
+            return Ok(());
         }
-        drop(cache);
-        if let Some(trace) = trace {
-            *lock(&self.last_trace) = Some(trace);
-        }
-        let d_serialize = t_serialize.elapsed();
-        self.metrics.phase_seconds[Phase::Serialize as usize].record_duration(d_serialize);
-        self.log_slow_query(
-            req_id,
-            &key,
-            status,
-            started,
-            &[
-                ("parse", d_parse),
-                ("cache", d_cache),
-                ("eval", d_eval),
-                ("serialize", d_serialize),
-            ],
-            Some(&eval_stats),
+        self.metrics.admission_rejected.inc();
+        let detail = format!(
+            "static derivation bound {bound} facts exceeds fact budget {budget} \
+             at current cardinalities; refused before evaluation"
         );
+        self.note_limit("bound", &detail);
+        Err(Response::err_code(ErrCode::Bound, detail))
+    }
 
+    /// Answer `ERR stale <bound_ms>`, first making sure a drain is on its
+    /// way when the plan claimed the form's maintenance slot.
+    fn refuse_stale(&self, key: &FormKey, bound_ms: u64, queue_drain: bool) -> Response {
+        if queue_drain {
+            self.queue_drains(vec![key.clone()]);
+        }
+        self.metrics.stale_refusals.inc();
+        self.note_limit(
+            "stale",
+            &format!(
+                "query over {} refused: resident frontier {bound_ms}ms stale, \
+                 drain too costly to run synchronously",
+                key.pred
+            ),
+        );
+        Response::err_stale(
+            bound_ms,
+            "frontier exceeds staleness budget while a drain is pending; \
+             retry, loosen the budget, or request fresh",
+        )
+    }
+
+    /// Respond stage, the same for every answer source: staleness metrics,
+    /// memo publication and resident pinning, the TRACE document, the last
+    /// phase span and the slow-query log, then the `OK` response.
+    fn respond(&self, ctx: &QueryCtx, mut served: Served) -> Response {
+        if !served.staleness.is_zero() {
+            self.metrics.stale_serves.inc();
+        }
         self.metrics
             .staleness_bound_seconds
-            .record_duration(Duration::ZERO);
+            .record_duration(served.staleness);
+        if let Some(trace) = served
+            .trace
+            .take()
+            .or_else(|| self.publish(ctx, &mut served))
+        {
+            *lock(&self.last_trace) = Some(trace);
+        }
+        // The span still open: serialize after an evaluation, else cache.
+        match &served.eval {
+            Some(e) => {
+                let d_serialize = e.t_serialize.elapsed();
+                self.metrics.phase_seconds[Phase::Serialize as usize].record_duration(d_serialize);
+                let spans = [
+                    ("cache", e.d_cache),
+                    ("eval", e.d_eval),
+                    ("serialize", d_serialize),
+                ];
+                self.log_slow_query(ctx, served.tag, &spans, Some(&e.stats));
+            }
+            None => {
+                let d_cache = ctx.t_cache.elapsed();
+                self.metrics.phase_seconds[Phase::Cache as usize].record_duration(d_cache);
+                self.log_slow_query(ctx, served.tag, &[("cache", d_cache)], None);
+            }
+        }
         Response::ok()
-            .with_info("cache", status)
-            .with_info("answers", answers.len())
-            .with_info("frontier", frontier)
-            .with_info("staleness_us", 0)
-            .with_info("wall_us", started.elapsed().as_micros())
-            .with_payload_text(&payload)
+            .with_info("cache", served.tag)
+            .with_info("answers", served.answers)
+            .with_info("frontier", served.frontier)
+            .with_info("staleness_us", served.staleness.as_micros())
+            .with_info("wall_us", ctx.started.elapsed().as_micros())
+            .with_payload_text(&served.payload)
+    }
+
+    /// Under one hold of the cache lock: publish the served memo, pin a
+    /// freshly built resident unless a concurrent query beat us to it, and
+    /// build the TRACE document. `None` when the form was evicted meanwhile.
+    fn publish(&self, ctx: &QueryCtx, served: &mut Served) -> Option<Json> {
+        let mut cache = lock(&self.cache);
+        let entry = cache.peek_mut(&ctx.key)?;
+        if let Some((watermarks, published_at)) = served.publish.take() {
+            entry.answers = Some(CachedAnswers {
+                query_repr: ctx.query_repr.clone(),
+                watermarks,
+                payload: served.payload.clone(),
+                answers: served.answers,
+                frontier: served.frontier,
+                published_at,
+                stale: !served.staleness.is_zero(),
+            });
+        }
+        let trace = Self::trace_json(ctx, served.tag, served.tag == "miss", &entry.prepared);
+        let unpinned = entry.resident.is_none();
+        if let Some((form, rebuild)) = served.pin.take() {
+            // A re-pin after eviction or poisoning IS the lazy rebuild.
+            if unpinned && cache.pin_resident(&ctx.key, *form) && rebuild {
+                self.metrics.resident_rebuilds.inc();
+            }
+        }
+        Some(trace)
     }
 
     /// Emit one structured JSON line on stderr when a query's wall time
     /// crosses the `--slow-query-ms` threshold. One line per slow query,
     /// machine-parseable, with the request id, form identity, cache
-    /// outcome, per-phase breakdown, and (when evaluation ran) the
-    /// engine's [`EvalStats`].
+    /// outcome, per-phase breakdown (parse, then `spans`), and (when
+    /// evaluation ran) the engine's [`EvalStats`].
     fn log_slow_query(
         &self,
-        req_id: u64,
-        key: &FormKey,
+        ctx: &QueryCtx,
         cache: &str,
-        started: Instant,
-        phases: &[(&str, Duration)],
+        spans: &[(&str, Duration)],
         stats: Option<&EvalStats>,
     ) {
         let Some(threshold_ms) = self.slow_query_ms else {
             return;
         };
-        let wall = started.elapsed();
+        let wall = ctx.started.elapsed();
         if wall.as_millis() < u128::from(threshold_ms) {
             return;
         }
         self.metrics.slow_queries.inc();
-        let mut phase_doc = Json::obj();
-        for (name, d) in phases {
+        let mut phase_doc = Json::obj().with("parse", ctx.d_parse.as_micros());
+        for (name, d) in spans {
             phase_doc = phase_doc.with(name, d.as_micros());
         }
         let mut doc = Json::obj()
             .with("slow_query", true)
-            .with("req_id", req_id)
-            .with("pred", key.pred.as_str())
-            .with("adornment", key.adornment.as_str())
+            .with("req_id", ctx.req_id)
+            .with("pred", ctx.key.pred.as_str())
+            .with("adornment", ctx.key.adornment.as_str())
             .with("cache", cache)
             .with("threshold_ms", threshold_ms)
             .with("wall_us", wall.as_micros())
@@ -2184,30 +2126,24 @@ impl ServerState {
 
     /// The `TRACE` document for one query. `new_events` holds the phase
     /// events the optimizer emitted *for this request* — the full trace on
-    /// a cold miss, empty on any cache hit (the observable promised by the
-    /// prepared-query cache).
-    fn trace_json(
-        query: &Query,
-        key: &FormKey,
-        status: &str,
-        fresh: Option<()>,
-        prepared: &PreparedProgram,
-    ) -> Json {
-        let new_events: Vec<Json> = if fresh.is_some() {
+    /// a cold miss (`fresh`), empty on any cache hit (the observable
+    /// promised by the prepared-query cache).
+    fn trace_json(ctx: &QueryCtx, tag: &str, fresh: bool, prepared: &PreparedProgram) -> Json {
+        let new_events: Vec<Json> = if fresh {
             prepared.report.events().map(|e| e.to_json()).collect()
         } else {
             Vec::new()
         };
         Json::obj()
-            .with("query", query.to_string())
+            .with("query", ctx.query.to_string())
             .with(
                 "form",
                 Json::obj()
-                    .with("fingerprint", format!("{:016x}", key.fingerprint))
-                    .with("pred", key.pred.as_str())
-                    .with("adornment", key.adornment.as_str()),
+                    .with("fingerprint", format!("{:016x}", ctx.key.fingerprint))
+                    .with("pred", ctx.key.pred.as_str())
+                    .with("adornment", ctx.key.adornment.as_str()),
             )
-            .with("cache", status)
+            .with("cache", tag)
             .with("new_events", Json::Arr(new_events))
             .with("prepared_report", prepared.report.to_json())
     }
@@ -2262,16 +2198,16 @@ impl ServerState {
             .with("version", self.db.version())
             .with("queries", m.queries.get())
             .with("prepared_forms", cache.len())
-            .with("prepared_hits", cache.total_hits())
+            .with("prepared_hits", m.prepared_hits.get())
             .with("cache_misses", m.cache_misses.get())
             .with("answer_hits", m.answer_hits.get())
-            .with("invalidations", cache.invalidations)
+            .with("invalidations", m.invalidations.get())
             .with("resident_forms", cache.resident_count())
             .with(
                 "incremental_applied_facts",
                 m.incremental_applied_facts.get(),
             )
-            .with("fallback_recomputes", cache.fallback_recomputes)
+            .with("fallback_recomputes", m.fallback_recomputes.get())
             .with("resident_rebuilds", m.resident_rebuilds.get())
             .with("resident_poisonings", m.resident_poisonings.get())
             .with("stale_serves", m.stale_serves.get())
@@ -2351,6 +2287,25 @@ pub fn render_answers(answers: &AnswerSet) -> String {
         Some(b) => format!("{b}\n"),
         None => answers.to_string(),
     }
+}
+
+/// The support set's rows at the snapshot, as evaluation input: the EDB
+/// predicates reachable from the query, the only ones that can affect its
+/// answers.
+fn support_facts(snapshot: &DbSnapshot, support: &BTreeSet<PredRef>) -> FactSet {
+    let mut input = FactSet::new();
+    for pred in support {
+        for row in snapshot.rows(pred) {
+            input.insert(pred.clone(), row);
+        }
+    }
+    input
+}
+
+/// Per support predicate, the snapshot's row count: the `applied`
+/// watermarks of a resident caught up to (or built from) the snapshot.
+fn applied_at(snapshot: &DbSnapshot, support: &BTreeSet<PredRef>) -> BTreeMap<PredRef, usize> {
+    snapshot.watermarks_for(support).into_iter().collect()
 }
 
 /// A running server: listener address plus worker threads.
@@ -3097,5 +3052,128 @@ mod tests {
         assert_eq!(resp.code, Some(ErrCode::Shutdown), "{}", resp.error);
         // STATS still answers during the drain.
         assert!(state.handle(&Request::Stats).ok);
+    }
+
+    #[test]
+    fn stats_cache_counters_match_metrics_across_lru_eviction() {
+        // STATS reads the counters METRICS renders, so a form evicted by
+        // the prepared-cache LRU cannot take its hits out of either.
+        let state = ServerState::from_config(&ServerConfig {
+            cache_capacity: 1,
+            resident_forms: 0,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let dir = TempDir::new("stats-evict");
+        let file = dir.0.join("two.dl");
+        std::fs::write(
+            &file,
+            "a(X, Y) :- p(X, Y).\nb(X, Y) :- q(X, Y).\np(1, 2).\nq(3, 4).\n",
+        )
+        .unwrap();
+        assert!(state.handle(&Request::Load(file.display().to_string())).ok);
+        for (q, tag) in [
+            ("?- a(X, _).", "miss"),
+            ("?- a(X, _).", "answers"),
+            ("?- b(X, _).", "miss"),
+        ] {
+            assert_eq!(state.handle(&Request::query(q)).get("cache"), Some(tag));
+        }
+        assert!(state.handle(&Request::Fact("q(5, 6).".into())).ok);
+        let stats = state.handle(&Request::Stats).payload_text();
+        assert!(
+            stats.contains("\"prepared_forms\":1"),
+            "a was evicted: {stats}"
+        );
+        assert!(stats.contains("\"prepared_hits\":1"), "{stats}");
+        assert!(stats.contains("\"invalidations\":1"), "{stats}");
+        assert!(stats.contains("\"fallback_recomputes\":0"), "{stats}");
+        let scrape = state
+            .handle(&Request::Metrics { json: false })
+            .payload_text();
+        for sample in [
+            "xdl_cache_events_total{kind=\"prepared_hit\"} 1",
+            "xdl_cache_events_total{kind=\"invalidation\"} 1",
+            "xdl_fallback_recomputes_total 0",
+        ] {
+            assert!(scrape.contains(sample), "{sample}: {scrape}");
+        }
+    }
+
+    /// Every answer source honours one response contract: the five
+    /// headers in order, a TRACE document naming the same tag (optimizer
+    /// events only on a miss), and exactly one slow-query line per query.
+    #[test]
+    fn every_answer_source_shares_one_response_contract() {
+        const Q: &str = "?- a(X, _).";
+        // Warm the form (memo + resident), then ingest: with every drain
+        // deferred and no maintenance thread, the lag stays until a read.
+        const LAGGED: &[&str] = &[Q, "p(3, 4)."];
+        // (tag, resident_forms, steps before the probe, probe mode, hold
+        // the form lock across the probe)
+        let cases: [(&str, usize, &[&str], Consistency, bool); 6] = [
+            ("miss", 8, &[], Consistency::Fresh, false),
+            ("answers", 8, &[Q], Consistency::Fresh, false),
+            ("hit", 0, LAGGED, Consistency::Fresh, false),
+            ("resident", 8, LAGGED, Consistency::Fresh, false),
+            ("stale", 8, LAGGED, Consistency::Any, false),
+            ("stale_answers", 8, LAGGED, Consistency::Any, true),
+        ];
+        for (tag, resident_forms, steps, consistency, hold) in cases {
+            let state = ServerState::from_config(&ServerConfig {
+                resident_forms,
+                drain_sync_cost: 0,
+                slow_query_ms: Some(0),
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            let dir = TempDir::new(&format!("contract-{tag}"));
+            let file = dir.0.join("s.dl");
+            std::fs::write(&file, "a(X, Y) :- p(X, Y).\np(1, 2).\n").unwrap();
+            assert!(state.handle(&Request::Load(file.display().to_string())).ok);
+            let query = |consistency| {
+                let before = state.metrics.slow_queries.get();
+                let resp = state.handle(&Request::Query {
+                    text: Q.into(),
+                    consistency,
+                });
+                let logged = state.metrics.slow_queries.get() - before;
+                assert_eq!(logged, 1, "{tag}: one slow-query line per query");
+                resp
+            };
+            for step in steps {
+                if *step == Q {
+                    assert!(query(Consistency::Fresh).ok, "{tag}");
+                } else {
+                    assert!(state.handle(&Request::Fact(step.to_string())).ok);
+                }
+            }
+            // Holding the form's mutex here makes the probe's try_lock see
+            // WouldBlock, as it would behind a running drain.
+            let form = hold.then(|| {
+                lock(&state.cache)
+                    .iter_mut()
+                    .find_map(|(_, e)| e.resident.clone())
+                    .expect("the warm query pinned a resident")
+            });
+            let held = form.as_deref().map(lock);
+            let resp = query(consistency);
+            drop(held);
+            assert!(resp.ok, "{tag}: {}", resp.error);
+            assert_eq!(resp.get("cache"), Some(tag));
+            let headers: Vec<&str> = resp.info.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                headers,
+                ["cache", "answers", "frontier", "staleness_us", "wall_us"],
+                "{tag}"
+            );
+            assert!(state.handle(&Request::Trace).ok);
+            let trace = lock(&state.last_trace).clone().expect("a trace");
+            assert_eq!(trace.get("cache"), Some(&Json::Str(tag.into())));
+            let Some(Json::Arr(events)) = trace.get("new_events") else {
+                panic!("{tag}: trace lacks new_events: {trace}");
+            };
+            assert_eq!(!events.is_empty(), tag == "miss", "{tag}: {trace}");
+        }
     }
 }
