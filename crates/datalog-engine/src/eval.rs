@@ -23,13 +23,16 @@
 //!
 //! Each fixpoint iteration runs in two halves. First the database is
 //! *frozen*: the iteration's work is decomposed into [`Task`]s — one per
-//! (rule, delta-variant, chunk) — whose enumeration reads only state fixed
-//! at the iteration barrier (rows below the iteration-start marks, plus the
-//! up-front composite indexes). Enumeration writes candidate tuples and
-//! their premises into per-task buffers. Then the buffers are *merged*:
-//! applied to the database in the fixed task order, which is where
-//! deduplication, provenance, the fact budget, and the per-rule profile
-//! attribution happen.
+//! (rule, delta-variant, chunk), with chunk counts sized by each variant's
+//! estimated work — whose enumeration reads only state fixed at the
+//! iteration barrier (rows below the iteration-start marks, all sealed,
+//! plus the up-front composite indexes). Enumeration drops every candidate
+//! the head relation's frozen rows already hold and writes the survivors
+//! (tuple, hash, and premises when provenance is on) into flat per-task
+//! buffers. Then the buffers are *merged* in the fixed task order: the
+//! merge dedups survivors within the iteration, assigns row ids, and does
+//! provenance, the fact budget, and the per-rule profile attribution;
+//! it ends by appending each relation's new rows in one sealed batch.
 //!
 //! Because the task list is planned from frozen state and the merge replays
 //! buffers in task order, the executor is irrelevant to the result: running
@@ -51,6 +54,7 @@ use crate::database::{Database, PredId};
 use crate::facts::{AnswerSet, FactSet};
 use crate::provenance::Provenance;
 use crate::stats::EvalStats;
+use crate::storage::{self, BloomTally, FastBuild};
 use crate::EngineError;
 
 /// How many joined rows a rule application may enumerate between
@@ -60,11 +64,12 @@ use crate::EngineError;
 /// `Instant::now()` + two atomic loads) is amortized to noise.
 const LIMIT_CHECK_INTERVAL: u32 = 4096;
 
-/// Minimum outer-literal rows per chunk when splitting a large range across
-/// tasks. Chunk boundaries are a pure function of the frozen range length
-/// (never of the thread count), so the task list — and with it every stat —
-/// is identical no matter how many workers execute it.
-const CHUNK_MIN_ROWS: usize = 1024;
+/// Minimum estimated work (body-literal range lengths under the variant)
+/// per chunk when splitting a variant's outer range across tasks. Chunk
+/// boundaries are a pure function of frozen range lengths (never of the
+/// thread count), so the task list — and with it every stat — is identical
+/// no matter how many workers execute it.
+const CHUNK_MIN_WORK: usize = 1024;
 
 /// Upper bound on chunks per join variant, so tiny per-chunk buffers don't
 /// drown the merge in overhead on huge deltas.
@@ -217,6 +222,19 @@ enum Range {
     Old,
 }
 
+impl Range {
+    /// The range body literal `lit` reads in the variant whose delta
+    /// literal is `delta_idx` (`None`: every literal reads `Full`).
+    fn of(delta_idx: Option<usize>, lit: usize) -> Range {
+        match delta_idx {
+            None => Range::Full,
+            Some(d) if lit < d => Range::Full,
+            Some(d) if lit == d => Range::Delta,
+            Some(_) => Range::Old,
+        }
+    }
+}
+
 /// Which resource limit tripped mid-evaluation. Converted to an
 /// [`EngineError`] (with the freshest stats and elapsed time) once the
 /// join recursion has unwound.
@@ -252,6 +270,10 @@ struct IterView<'a> {
     mark_prev: &'a [usize],
     mark_cur: &'a [usize],
     boolean_cut: bool,
+    /// Buffer each survivor's premise rows (provenance is on).
+    premises: bool,
+    /// Buffer each survivor's derivation ordinal (a fact budget is set).
+    ordinals: bool,
     deadline: Option<Instant>,
     cancel: Option<&'a CancelToken>,
 }
@@ -267,16 +289,28 @@ impl IterView<'_> {
     }
 }
 
-/// One buffered candidate: the head tuple and its premise rows.
-type Emission = (Box<[Value]>, Box<[(PredId, u32)]>);
-
-/// Everything one task's enumeration produced: the candidate tuples (with
-/// premises, for provenance) in discovery order, plus the counters the
-/// merge folds into the global [`EvalStats`].
+/// Everything one task's enumeration produced: the *survivors* — candidate
+/// head tuples absent from the head relation's frozen rows — in discovery
+/// order, plus the counters the merge folds into the global [`EvalStats`].
+/// Candidates already present below the frozen mark are counted in
+/// `duplicates` and dropped during enumeration.
 #[derive(Debug, Default)]
 struct TaskOut {
-    emissions: Vec<Emission>,
+    /// Survivor tuples, flat at the head's arity stride.
+    tuples: Vec<Value>,
+    /// [`storage::hash_key`] of each survivor; its length is the survivor
+    /// count (zero-arity heads have no tuple values).
+    hashes: Vec<u64>,
+    /// Each survivor's premise rows at body-length stride; empty unless
+    /// [`IterView::premises`].
+    premises: Vec<(PredId, u32)>,
+    /// Each survivor's index among the task's derivations, so a fact
+    /// budget tripping mid-task counts exactly the duplicates derived
+    /// before it; empty unless [`IterView::ordinals`].
+    ordinals: Vec<u64>,
     derivations: u64,
+    /// Candidates found among the frozen rows.
+    duplicates: u64,
     tuples_scanned: u64,
     index_probes: u64,
     wall_ns: u64,
@@ -286,20 +320,26 @@ struct TaskOut {
 }
 
 /// Enumerate one task against the frozen view. Pure with respect to the
-/// database: all effects land in the returned [`TaskOut`].
+/// database: all effects land in the returned [`TaskOut`] (and, once per
+/// task, the process-wide bloom counters).
 fn enumerate_task(view: &IterView<'_>, task: Task) -> TaskOut {
     let t0 = Instant::now();
+    let plan = &view.plans[task.plan_idx];
     let mut en = Enumerator {
         view,
-        plan: &view.plans[task.plan_idx],
+        plan,
         delta_idx: task.delta_idx,
         until_check: LIMIT_CHECK_INTERVAL,
         stop: false,
+        undo: Vec::with_capacity(plan.nvars),
+        scratch: Vec::new(),
+        bloom: BloomTally::default(),
         out: TaskOut::default(),
     };
-    let mut bindings: Vec<Option<Value>> = vec![None; en.plan.nvars];
-    let mut premises: Vec<(PredId, u32)> = Vec::with_capacity(en.plan.body.len());
+    let mut bindings: Vec<Option<Value>> = vec![None; plan.nvars];
+    let mut premises: Vec<(PredId, u32)> = Vec::with_capacity(plan.body.len());
     en.join_from(task.outer, 0, &mut bindings, &mut premises);
+    en.bloom.flush();
     en.out.wall_ns = t0.elapsed().as_nanos() as u64;
     en.out
 }
@@ -315,6 +355,13 @@ struct Enumerator<'v> {
     /// Set once a boolean head found its witness (§3.1): unwind, one
     /// emission is all the merge will keep anyway.
     stop: bool,
+    /// Variables bound by the rows currently matched, innermost last, so
+    /// backtracking unbinds them without a per-row allocation.
+    undo: Vec<u16>,
+    /// Reused buffer for probe keys and negated tuples.
+    scratch: Vec<Value>,
+    /// Bloom counts of the frozen-dedup checks, flushed once per task.
+    bloom: BloomTally,
     out: TaskOut,
 }
 
@@ -359,13 +406,7 @@ impl Enumerator<'_> {
         let (start, end) = if lit == 0 {
             outer
         } else {
-            let range = match self.delta_idx {
-                None => Range::Full,
-                Some(d) if lit < d => Range::Full,
-                Some(d) if lit == d => Range::Delta,
-                Some(_) => Range::Old,
-            };
-            self.view.bounds(lp.pred, range)
+            self.view.bounds(lp.pred, Range::of(self.delta_idx, lit))
         };
         if start >= end {
             return;
@@ -381,20 +422,19 @@ impl Enumerator<'_> {
             // Probe the composite index over every bound column; the
             // binary-searched subslice holds exactly this range's hits.
             self.out.index_probes += 1;
-            let key: Vec<Value> = lp
-                .probe
-                .iter()
-                .map(|&col| match &lp.slots[col] {
+            self.scratch.clear();
+            self.scratch.extend(lp.probe.iter().map(|&col| {
+                match &lp.slots[col] {
                     Slot::Const(c) => *c,
                     Slot::Var(v) => bindings[*v as usize]
                         .expect("compile plans only bound columns as probe columns"),
-                })
-                .collect();
-            let hits = self
-                .view
-                .db
-                .relation(lp.pred)
-                .probe_range(&lp.probe, &key, start, end);
+                }
+            }));
+            let hits =
+                self.view
+                    .db
+                    .relation(lp.pred)
+                    .probe_range(&lp.probe, &self.scratch, start, end);
             for row_id in hits.iter() {
                 if !self.try_row(outer, lit, row_id, bindings, premises) {
                     return;
@@ -428,14 +468,15 @@ impl Enumerator<'_> {
         let row = self.view.db.relation(lp.pred).row(row_id as usize);
         // Match the row against the slots, recording new bindings so we can
         // undo them on backtrack.
-        let mut bound_here: Vec<u16> = Vec::new();
+        let bound_from = self.undo.len();
+        let undo = &mut self.undo;
         let ok = lp.slots.iter().enumerate().all(|(col, s)| match s {
             Slot::Const(c) => row[col] == *c,
             Slot::Var(v) => match bindings[*v as usize] {
                 Some(val) => val == row[col],
                 None => {
                     bindings[*v as usize] = Some(row[col]);
-                    bound_here.push(*v);
+                    undo.push(*v);
                     true
                 }
             },
@@ -445,7 +486,7 @@ impl Enumerator<'_> {
             self.join_from(outer, lit + 1, bindings, premises);
             premises.pop();
         }
-        for v in bound_here {
+        for v in self.undo.drain(bound_from..) {
             bindings[v as usize] = None;
         }
         !(self.stop || self.out.trip.is_some())
@@ -456,41 +497,102 @@ impl Enumerator<'_> {
     /// plain membership test implements negation-as-failure.
     fn negatives_hold(&mut self, bindings: &[Option<Value>]) -> bool {
         for neg in &self.plan.negatives {
-            let tuple: Vec<Value> = neg
-                .slots
-                .iter()
-                .map(|s| match s {
-                    Slot::Const(c) => *c,
-                    Slot::Var(v) => bindings[*v as usize]
-                        .expect("safety guarantees negated variables are bound"),
-                })
-                .collect();
+            self.scratch.clear();
+            self.scratch.extend(neg.slots.iter().map(|s| match s {
+                Slot::Const(c) => *c,
+                Slot::Var(v) => {
+                    bindings[*v as usize].expect("safety guarantees negated variables are bound")
+                }
+            }));
             self.out.index_probes += 1;
-            if self.view.db.relation(neg.pred).contains(&tuple) {
+            if self.view.db.relation(neg.pred).contains(&self.scratch) {
                 return false;
             }
         }
         true
     }
 
+    /// Buffer one derivation of the head unless the head relation's frozen
+    /// rows already hold it. The check reads only rows below the
+    /// iteration-start mark, so its outcome is the same under any executor.
     fn emit(&mut self, bindings: &[Option<Value>], premises: &[(PredId, u32)]) {
+        let ordinal = self.out.derivations;
         self.out.derivations += 1;
-        let tuple: Box<[Value]> = self
-            .plan
-            .head_slots
-            .iter()
-            .map(|s| match s {
+        let out = &mut self.out;
+        let start = out.tuples.len();
+        out.tuples
+            .extend(self.plan.head_slots.iter().map(|s| match s {
                 Slot::Const(c) => *c,
                 Slot::Var(v) => {
                     bindings[*v as usize].expect("safety guarantees head variables are bound")
                 }
-            })
-            .collect();
-        self.out.emissions.push((tuple, premises.into()));
+            }));
+        let tuple = &out.tuples[start..];
+        let hash = storage::hash_key(tuple.iter().copied());
+        let head = self.plan.head;
+        let mark = self.view.mark_cur[head.0 as usize];
+        if self
+            .view
+            .db
+            .relation(head)
+            .contains_below(tuple, hash, mark, &mut self.bloom)
+        {
+            out.duplicates += 1;
+            out.tuples.truncate(start);
+        } else {
+            out.hashes.push(hash);
+            if self.view.premises {
+                out.premises.extend_from_slice(premises);
+            }
+            if self.view.ordinals {
+                out.ordinals.push(ordinal);
+            }
+        }
         // One witness suffices for a boolean head (section 3.1's cut).
         if self.view.boolean_cut && self.plan.head_slots.is_empty() {
             self.stop = true;
         }
+    }
+}
+
+/// The rows one iteration's merge found new for one head predicate, in
+/// first-derivation order: survivors of the frozen-dedup filter that are
+/// also distinct among themselves. Pending row `i` gets id `len + i` when
+/// [`Relation::append_new`](crate::relation::Relation::append_new) appends
+/// them all at the end of the merge.
+#[derive(Debug, Default)]
+struct Pending {
+    /// Pending tuples, flat at the predicate's arity stride.
+    tuples: Vec<Value>,
+    hashes: Vec<u64>,
+    /// Hash → the latest pending index with that hash.
+    latest: HashMap<u64, u32, FastBuild>,
+    /// Per pending index: the previous pending index with the same hash
+    /// ([`Pending::END`] ends the chain).
+    prev: Vec<u32>,
+}
+
+impl Pending {
+    const END: u32 = u32::MAX;
+
+    /// Add `tuple` (hash `hash`) unless it is already pending. Returns its
+    /// pending index if it was new.
+    fn insert(&mut self, tuple: &[Value], hash: u64) -> Option<u32> {
+        let arity = tuple.len();
+        let idx = self.hashes.len() as u32;
+        let latest = self.latest.entry(hash).or_insert(Self::END);
+        let mut at = *latest;
+        while at != Self::END {
+            let i = at as usize;
+            if self.tuples[i * arity..(i + 1) * arity] == *tuple {
+                return None;
+            }
+            at = self.prev[i];
+        }
+        self.prev.push(std::mem::replace(latest, idx));
+        self.tuples.extend_from_slice(tuple);
+        self.hashes.push(hash);
+        Some(idx)
     }
 }
 
@@ -580,6 +682,8 @@ impl<'a> Machine<'a> {
             mark_prev: &self.mark_prev,
             mark_cur: &self.mark_cur,
             boolean_cut: self.boolean_cut,
+            premises: self.provenance.is_some(),
+            ordinals: self.fact_budget.is_some(),
             deadline: self.deadline,
             cancel: self.cancel.as_ref(),
         }
@@ -621,9 +725,13 @@ impl<'a> Machine<'a> {
         (tasks, work)
     }
 
-    /// Push one join variant's tasks, splitting a large outer range into
-    /// chunks, and return the variant's estimated work. Chunk count and
-    /// boundaries depend only on the frozen range length.
+    /// Push one join variant's tasks, splitting its outer range into
+    /// chunks, and return the variant's estimated work: the sum of every
+    /// body literal's range length *under this variant*, so the delta
+    /// literal counts its delta. The chunk count follows the work, not the
+    /// outer length alone, and depends only on frozen range lengths.
+    /// Chunks are contiguous slices of the outer range, so their
+    /// concatenated output is the unchunked enumeration order.
     fn push_variant(
         &self,
         tasks: &mut Vec<Task>,
@@ -631,33 +739,25 @@ impl<'a> Machine<'a> {
         delta_idx: Option<usize>,
     ) -> usize {
         let plan = &self.plans[plan_idx];
-        let outer = match plan.body.first() {
-            None => (0, 0),
-            Some(l0) => {
-                let range = match delta_idx {
-                    Some(0) => Range::Delta,
-                    _ => Range::Full,
-                };
-                self.bounds(l0.pred, range)
-            }
+        let range = |lit: usize| self.bounds(plan.body[lit].pred, Range::of(delta_idx, lit));
+        let outer = if plan.body.is_empty() {
+            (0, 0)
+        } else {
+            range(0)
         };
         let len = outer.1 - outer.0;
-        let work: usize = len
-            + plan
-                .body
-                .iter()
-                .skip(1)
-                .map(|l| {
-                    let (s, e) = self.bounds(l.pred, Range::Full);
-                    e - s
-                })
-                .sum::<usize>();
+        let work: usize = (0..plan.body.len())
+            .map(|lit| {
+                let (s, e) = range(lit);
+                e - s
+            })
+            .sum();
         // A boolean head stops at its first witness; chunking it would only
         // enumerate witnesses the merge discards.
         let chunks = if plan.body.is_empty() || (self.boolean_cut && plan.head_slots.is_empty()) {
             1
         } else {
-            (len / CHUNK_MIN_ROWS).clamp(1, MAX_CHUNKS_PER_VARIANT)
+            (work / CHUNK_MIN_WORK).clamp(1, MAX_CHUNKS_PER_VARIANT.min(len.max(1)))
         };
         for c in 0..chunks {
             tasks.push(Task {
@@ -675,6 +775,7 @@ impl<'a> Machine<'a> {
     fn run_serial(&mut self, tasks: &[Task]) -> (u64, u64) {
         let mut enum_ns = 0u64;
         let mut merge_ns = 0u64;
+        let mut pending = self.new_pending();
         for &task in tasks {
             if self.trip.is_some() {
                 break;
@@ -685,9 +786,12 @@ impl<'a> Machine<'a> {
                 h.task_enum.record(out.wall_ns);
             }
             let t0 = Instant::now();
-            self.apply_task(task, out);
+            self.apply_task(task, out, &mut pending);
             merge_ns += t0.elapsed().as_nanos() as u64;
         }
+        let t0 = Instant::now();
+        self.append_pending(pending);
+        merge_ns += t0.elapsed().as_nanos() as u64;
         if let Some(h) = &self.metrics {
             h.merge.record(merge_ns);
         }
@@ -747,12 +851,15 @@ impl<'a> Machine<'a> {
         }
         let enum_ns = t0.elapsed().as_nanos() as u64;
         let t1 = Instant::now();
+        let mut pending = self.new_pending();
         for (&task, out) in tasks.iter().zip(slots) {
             if self.trip.is_some() {
                 break;
             }
-            self.apply_task(task, out.expect("every task enumerated exactly once"));
+            let out = out.expect("every task enumerated exactly once");
+            self.apply_task(task, out, &mut pending);
         }
+        self.append_pending(pending);
         let merge_ns = t1.elapsed().as_nanos() as u64;
         if let Some(h) = &self.metrics {
             h.merge.record(merge_ns);
@@ -760,42 +867,58 @@ impl<'a> Machine<'a> {
         (enum_ns, merge_ns)
     }
 
-    /// Merge one task's buffer into the database, in emission order. This
-    /// is the single mutation point of the fixpoint: dedup, provenance, the
-    /// exact fact budget, and profile attribution all live here, so they
-    /// behave identically under any executor.
-    fn apply_task(&mut self, task: Task, out: TaskOut) {
+    /// One empty [`Pending`] set per predicate, for one iteration's merge.
+    fn new_pending(&self) -> Vec<Pending> {
+        let mut pending = Vec::new();
+        pending.resize_with(self.db.pred_count(), Pending::default);
+        pending
+    }
+
+    /// Merge one task's survivors, in discovery order, into the
+    /// iteration's pending rows. This is the serial half of the fixpoint:
+    /// within-iteration dedup, row-id assignment, provenance, the exact
+    /// fact budget, and profile attribution all live here, so they behave
+    /// identically under any executor. Nothing here probes the frozen
+    /// rows; enumeration already dropped the candidates they hold.
+    fn apply_task(&mut self, task: Task, out: TaskOut, pending: &mut [Pending]) {
         let profiling = self.profile.is_some();
         let before = profiling.then_some(self.stats);
         let t0 = profiling.then(Instant::now);
         self.stats.derivations += out.derivations;
         self.stats.tuples_scanned += out.tuples_scanned;
         self.stats.index_probes += out.index_probes;
-        let head = self.plans[task.plan_idx].head;
-        let rule_idx = self.plans[task.plan_idx].rule_idx;
-        for (tuple, premises) in &out.emissions {
-            if self.trip.is_some() {
-                break;
+        let plan = &self.plans[task.plan_idx];
+        let (head, rule_idx) = (plan.head, plan.rule_idx);
+        let (arity, width) = (plan.head_slots.len(), plan.body.len());
+        let base = self.db.relation(head).len();
+        let pending = &mut pending[head.0 as usize];
+        let mut duplicates = out.duplicates;
+        for (i, &hash) in out.hashes.iter().enumerate() {
+            let Some(idx) = pending.insert(&out.tuples[i * arity..(i + 1) * arity], hash) else {
+                duplicates += 1;
+                continue;
+            };
+            self.stats.facts_derived += 1;
+            if let Some(p) = &mut self.provenance {
+                let premises = out.premises[i * width..(i + 1) * width].to_vec();
+                p.record(head, (base + idx as usize) as u32, rule_idx, premises);
             }
-            let rel = self.db.relation_mut(head);
-            let row_id = rel.len() as u32;
-            if rel.insert(tuple) {
-                self.stats.facts_derived += 1;
-                if let Some(p) = &mut self.provenance {
-                    p.record(head, row_id, rule_idx, premises.to_vec());
+            // Exact budget enforcement: the (budget+1)-th new fact trips.
+            // Checked here, not during enumeration, because only the merge
+            // knows which candidates are new. The rest of the task is not
+            // applied, so only the duplicates derived before the tripping
+            // fact count: the frozen ones among its first `ordinal`
+            // derivations, plus the pending ones among survivors `..i`.
+            if let Some(budget) = self.fact_budget {
+                if self.stats.facts_derived > budget {
+                    self.trip = Some(Trip::Budget(budget));
+                    let frozen_before = out.ordinals[i] - i as u64;
+                    duplicates -= out.duplicates - frozen_before;
+                    break;
                 }
-                // Exact budget enforcement: the (budget+1)-th new fact
-                // trips. Checked here, not during enumeration, because only
-                // the merge knows which candidates are new.
-                if let Some(budget) = self.fact_budget {
-                    if self.stats.facts_derived > budget {
-                        self.trip = Some(Trip::Budget(budget));
-                    }
-                }
-            } else {
-                self.stats.duplicates += 1;
             }
         }
+        self.stats.duplicates += duplicates;
         if self.trip.is_none() {
             self.trip = out.trip;
         }
@@ -811,6 +934,18 @@ impl<'a> Machine<'a> {
             rule.tuples_scanned += after.tuples_scanned - before.tuples_scanned;
             rule.index_probes += after.index_probes - before.index_probes;
             rule.wall_ns += out.wall_ns + t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// End of a merge (or a trip): append each predicate's pending rows to
+    /// its relation in one batch, sealed as one run.
+    fn append_pending(&mut self, pending: Vec<Pending>) {
+        for (p, rows) in pending.into_iter().enumerate() {
+            if !rows.hashes.is_empty() {
+                self.db
+                    .relation_mut(PredId(p as u32))
+                    .append_new(&rows.tuples, &rows.hashes);
+            }
         }
     }
 
@@ -1232,7 +1367,7 @@ pub(crate) fn load_input(
 /// column sets are known statically. From here on the inner loop probes
 /// through `&Relation` only ([`crate::relation::Relation::probe_range`]),
 /// which is what lets each iteration freeze the database and share it
-/// across workers. `insert` keeps the indexes fresh as the fixpoint grows.
+/// across workers. `append_new` keeps the indexes fresh as the fixpoint grows.
 pub(crate) fn ensure_probe_indexes(db: &mut Database, plans: &[RulePlan]) {
     let wanted: BTreeSet<(PredId, &[usize])> = plans
         .iter()
@@ -1758,9 +1893,10 @@ mod tests {
         assert_eq!(stats.iterations, 0, "tripped at the first boundary check");
     }
 
-    /// A dense random-ish digraph: big enough that transitive-closure
-    /// iterations cross the [`CHUNK_MIN_ROWS`] and [`PARALLEL_MIN_WORK`]
-    /// thresholds, so the parallel tests exercise chunked fan-out for real.
+    /// A dense random-ish digraph. At the sizes the parallel tests use,
+    /// transitive-closure iterations cross the [`CHUNK_MIN_WORK`] and
+    /// [`PARALLEL_MIN_WORK`] thresholds, so they exercise chunked fan-out
+    /// for real ([`assert_chunked`] checks it).
     fn dense_edb(n: i64, m: i64) -> FactSet {
         let mut fs = FactSet::new();
         let mut x: i64 = 42;
@@ -1791,6 +1927,14 @@ mod tests {
         assert_eq!(a.provenance, b.provenance, "provenance differs");
     }
 
+    /// The largest iteration of a profiled run planned at least four tasks,
+    /// i.e. some join variant was split into chunks.
+    fn assert_chunked(out: &EvalOutput) {
+        let profile = out.profile.as_ref().expect("profiled run");
+        let max = profile.timeline.iter().map(|it| it.tasks).max();
+        assert!(max >= Some(4), "largest iteration planned {max:?} tasks");
+    }
+
     #[test]
     fn parallel_evaluation_is_byte_identical_to_serial() {
         // Programs covering recursion, negation, and the boolean cut.
@@ -1813,16 +1957,20 @@ mod tests {
                 true,
             ),
         ];
-        let edb = dense_edb(48, 1400);
-        for (src, cut) in cases {
+        let edb = dense_edb(96, 1400);
+        for (i, (src, cut)) in cases.into_iter().enumerate() {
             let p = parse_program(src).unwrap().program;
             let opts = |threads: usize| EvalOptions {
                 threads,
                 boolean_cut: cut,
                 record_provenance: true,
+                profile: true,
                 ..EvalOptions::default()
             };
             let serial = evaluate(&p, &edb, &opts(1)).unwrap();
+            if i == 0 {
+                assert_chunked(&serial);
+            }
             for threads in [2, 3, 8] {
                 let par = evaluate(&p, &edb, &opts(threads)).unwrap();
                 assert_identical(&serial, &par);
@@ -1833,7 +1981,7 @@ mod tests {
     #[test]
     fn parallel_profile_counters_match_serial() {
         let p = parse_program(TC).unwrap().program;
-        let edb = dense_edb(40, 1000);
+        let edb = dense_edb(96, 2000);
         let opts = |threads: usize| EvalOptions {
             threads,
             profile: true,
@@ -1841,6 +1989,7 @@ mod tests {
         };
         let serial = evaluate(&p, &edb, &opts(1)).unwrap();
         let par = evaluate(&p, &edb, &opts(4)).unwrap();
+        assert_chunked(&serial);
         assert_identical(&serial, &par);
         // Profiles agree on everything but wall time (which legitimately
         // varies run to run): per-rule counters, retirement, the timeline's
@@ -1853,24 +2002,110 @@ mod tests {
 
     #[test]
     fn parallel_budget_trips_exactly_like_serial() {
+        // A duplicate-heavy input: the budget trips mid-task in an
+        // iteration whose candidates are mostly frozen or within-batch
+        // duplicates, so the duplicate count at the trip is exercised too.
         let p = parse_program(TC).unwrap().program;
-        let opts = |threads: usize| EvalOptions {
-            threads,
-            fact_budget: Some(100),
-            ..EvalOptions::default()
-        };
-        for threads in [1usize, 4] {
-            let err = evaluate(&p, &chain_edb(50), &opts(threads)).unwrap_err();
-            match err {
-                EngineError::BudgetExceeded { budget, stats } => {
-                    assert_eq!(budget, 100);
-                    // The merge applies buffers in task order and stops at
-                    // the trip, so enforcement stays exact at any width.
-                    assert_eq!(stats.facts_derived, 101, "threads={threads}");
+        let edb = dense_edb(96, 1400);
+        for budget in [1500u64, 4000, 8000] {
+            let trip = |threads: usize| {
+                let opts = EvalOptions {
+                    threads,
+                    fact_budget: Some(budget),
+                    ..EvalOptions::default()
+                };
+                match evaluate(&p, &edb, &opts).unwrap_err() {
+                    EngineError::BudgetExceeded { budget: b, stats } => {
+                        assert_eq!(b, budget);
+                        stats
+                    }
+                    other => panic!("expected BudgetExceeded, got {other:?}"),
                 }
-                other => panic!("expected BudgetExceeded, got {other:?}"),
+            };
+            let serial = trip(1);
+            // The merge applies buffers in task order and stops at the
+            // trip, so enforcement stays exact at any width.
+            assert_eq!(serial.facts_derived, budget + 1);
+            assert!(serial.duplicates > 0, "budget {budget}: no duplicates");
+            assert_eq!(serial, trip(4), "budget {budget}");
+        }
+    }
+
+    /// The merge's bulk path (frozen check, pending set, `append_new`)
+    /// against one-by-one `Relation::insert`: same decisions, rows, ids,
+    /// membership and probe results, on a stream heavy with frozen and
+    /// within-batch duplicates.
+    #[test]
+    fn merge_matches_sequential_inserts() {
+        use crate::relation::Relation;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n) as i64
+        };
+        let indexes: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
+        let (mut bulk, mut model) = (Relation::new(2), Relation::new(2));
+        for cols in indexes {
+            bulk.ensure_index(cols);
+            model.ensure_index(cols);
+        }
+        let (mut frozen_dups, mut batch_dups, mut fresh) = (0, 0, 0);
+        for batch in 0..20i64 {
+            // The freeze barrier: everything stored so far is sealed.
+            bulk.seal();
+            let mark = bulk.len();
+            // A row stored past the barrier (as a resident batch's EDB
+            // facts are) stays in the tail until the append seals it.
+            if batch % 7 == 3 {
+                let tuple = [Value::int(100 + batch), Value::int(0)];
+                assert!(bulk.insert(&tuple) && model.insert(&tuple));
+                fresh += 1;
+            }
+            let base = bulk.len();
+            let mut pending = Pending::default();
+            let mut tally = BloomTally::default();
+            for _ in 0..rng(600) {
+                // A sliding window: overlaps earlier batches (frozen
+                // duplicates) and repeats within the batch.
+                let tuple = [Value::int(rng(20)), Value::int(8 * batch + rng(24))];
+                let hash = storage::hash_key(tuple.iter().copied());
+                let new = if bulk.contains_below(&tuple, hash, mark, &mut tally) {
+                    frozen_dups += 1;
+                    false
+                } else if let Some(idx) = pending.insert(&tuple, hash) {
+                    // The id the row will get is the one insert assigns.
+                    assert_eq!(base + idx as usize, model.len(), "batch {batch}");
+                    true
+                } else {
+                    batch_dups += 1;
+                    false
+                };
+                assert_eq!(new, model.insert(&tuple), "batch {batch}: {tuple:?}");
+            }
+            bulk.append_new(&pending.tuples, &pending.hashes);
+            assert_eq!(bulk.len(), model.len(), "batch {batch}: len");
+            assert!(bulk.iter().eq(model.iter()), "batch {batch}: rows");
+            for _ in 0..40 {
+                let tuple = [Value::int(rng(22)), Value::int(rng(8 * batch as u64 + 30))];
+                assert_eq!(bulk.contains(&tuple), model.contains(&tuple));
+                let cols = indexes[rng(3) as usize];
+                let key: Vec<Value> = cols.iter().map(|&c| tuple[c]).collect();
+                let a = rng(bulk.len() as u64 + 1) as usize;
+                let b = a + rng((bulk.len() - a) as u64 + 1) as usize;
+                assert_eq!(
+                    bulk.probe_range(cols, &key, a, b).to_vec(),
+                    model.probe_range(cols, &key, a, b).to_vec(),
+                    "batch {batch}: probe {cols:?} {key:?} in {a}..{b}"
+                );
             }
         }
+        assert!(
+            frozen_dups > 1500 && batch_dups > 800,
+            "{frozen_dups} / {batch_dups}"
+        );
+        assert!(fresh > 0);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! is only consulted to verify a hash match); probes binary-search each
 //! run's materialized key array and emit per-run slices whose
 //! concatenation is ascending. Runs are sealed at the freeze barrier (see
-//! [`Relation::seal`]) and consolidated geometrically.
+//! [`Relation::seal`]) and when a fixpoint merge appends an iteration's new
+//! rows ([`Relation::append_new`]), and consolidated geometrically.
 //!
 //! Indices are *planned up front* (from the compiled join plans) via
 //! [`Relation::ensure_index`] and maintained incrementally by
-//! [`Relation::insert`] from then on. Probing is a `&self` operation
+//! [`Relation::insert`] and [`Relation::append_new`] from then on. Probing is a `&self` operation
 //! ([`Relation::probe_range`]), which is what lets one frozen relation be
 //! shared across worker threads during a parallel fixpoint iteration.
 
@@ -21,7 +22,7 @@ use std::collections::HashMap;
 
 use datalog_ast::Value;
 
-use crate::storage::{self, IndexRuns, ProbeHits, TupleRuns, TAIL_LIMIT};
+use crate::storage::{self, BloomTally, IndexRuns, ProbeHits, TupleRuns, TAIL_LIMIT};
 
 /// A stored relation. See the module docs for the storage contract.
 #[derive(Debug, Clone, Default)]
@@ -83,6 +84,79 @@ impl Relation {
         self.dedup.contains(&self.rows, tuple)
     }
 
+    /// Membership among the rows with id below `below`, all of which must
+    /// be sealed. `hash` is [`storage::hash_key`] of `tuple`. Only the
+    /// immutable runs are read and bloom counts go to `tally`, so workers
+    /// can test candidates against a frozen relation concurrently.
+    pub fn contains_below(
+        &self,
+        tuple: &[Value],
+        hash: u64,
+        below: usize,
+        tally: &mut BloomTally,
+    ) -> bool {
+        debug_assert!(
+            below <= self.dedup.sealed(),
+            "rows below {below} not sealed"
+        );
+        self.dedup
+            .contains_sealed(&self.rows, tuple, hash, below, tally)
+    }
+
+    /// Append rows known to be absent and pairwise distinct: `flat` holds
+    /// them at arity stride, `hashes` their [`storage::hash_key`]s. The new
+    /// rows take the next ids in order and are sealed as one dedup run and
+    /// one run per index; consolidation is left to the next
+    /// [`Relation::seal`].
+    pub fn append_new(&mut self, flat: &[Value], hashes: &[u64]) {
+        let n = hashes.len();
+        debug_assert_eq!(flat.len(), n * self.arity, "flat rows off stride");
+        debug_assert!(
+            self.absent_and_distinct(flat, hashes),
+            "append_new of a known row"
+        );
+        if n == 0 {
+            return;
+        }
+        self.seal_tail();
+        let start = self.rows.len();
+        if self.arity == 0 {
+            self.rows.push(Box::default());
+        } else {
+            self.rows.extend(flat.chunks(self.arity).map(Box::from));
+        }
+        self.dedup.seal_hashed(hashes);
+        for (cols, index) in self.indices.iter_mut() {
+            index.seal_range(&self.rows, cols, start, start + n);
+        }
+    }
+
+    /// The check behind [`Relation::append_new`]'s debug assertion: every
+    /// hash is right, no row is stored yet, and no two rows are equal. It
+    /// leaves the process-wide bloom counters alone.
+    fn absent_and_distinct(&self, flat: &[Value], hashes: &[u64]) -> bool {
+        let row = |i: usize| &flat[i * self.arity..(i + 1) * self.arity];
+        let sealed = self.dedup.sealed();
+        let mut tally = BloomTally::default();
+        let absent = (0..hashes.len()).all(|i| {
+            hashes[i] == storage::hash_key(row(i).iter().copied())
+                && !self.rows[sealed..].iter().any(|r| **r == *row(i))
+                && !self
+                    .dedup
+                    .contains_sealed(&self.rows, row(i), hashes[i], sealed, &mut tally)
+        });
+        // Equal rows have equal hashes: compare rows within hash groups.
+        let mut order: Vec<(u64, usize)> = hashes.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        absent
+            && (0..order.len()).all(|a| {
+                order[a + 1..]
+                    .iter()
+                    .take_while(|b| b.0 == order[a].0)
+                    .all(|b| row(b.1) != row(order[a].1))
+            })
+    }
+
     /// Row by id.
     pub fn row(&self, id: usize) -> &[Value] {
         &self.rows[id]
@@ -103,14 +177,7 @@ impl Relation {
     /// against consolidated runs; inserts also seal automatically past
     /// [`TAIL_LIMIT`] to bound tail memory.
     pub fn seal(&mut self) {
-        let end = self.rows.len();
-        if end > self.dedup.sealed() {
-            let start = self.dedup.sealed();
-            self.dedup.seal_to(&self.rows, end);
-            for (cols, index) in self.indices.iter_mut() {
-                index.seal_range(&self.rows, cols, start, end);
-            }
-        }
+        self.seal_tail();
         if !self.dedup.wants_merge() {
             return;
         }
@@ -122,6 +189,17 @@ impl Relation {
             }
         }
         storage::note_consolidation(t0.elapsed().as_nanos() as u64);
+    }
+
+    /// Seal the mutable tail into one new run, without consolidating.
+    fn seal_tail(&mut self) {
+        let (start, end) = (self.dedup.sealed(), self.rows.len());
+        if end > start {
+            self.dedup.seal_to(&self.rows, end);
+            for (cols, index) in self.indices.iter_mut() {
+                index.seal_range(&self.rows, cols, start, end);
+            }
+        }
     }
 
     /// Seal and merge every run into one. The geometric policy in

@@ -25,10 +25,12 @@
 //! evaluation byte-identical however the runs happen to be sealed and
 //! merged.
 //!
-//! Runs are sealed at the freeze barrier (and when the tail exceeds
-//! [`TAIL_LIMIT`]) and consolidated geometrically so at most O(log n) runs
-//! exist. Consolidation is a deterministic two-way merge over the runs'
-//! own materialized keys — rows are hashed/projected once at first seal
+//! Runs are sealed at the freeze barrier, when the tail exceeds
+//! [`TAIL_LIMIT`], and when the fixpoint's merge appends an iteration's new
+//! rows in one batch (already hashed, see [`TupleRuns::seal_hashed`]).
+//! They are consolidated geometrically so at most O(log n) runs exist.
+//! Consolidation is a deterministic two-way merge over the runs' own
+//! materialized keys — rows are hashed/projected once at first seal
 //! and never revisited, so merges are linear passes over flat arrays.
 //!
 //! Telemetry (bloom probe/skip counts, consolidations, index rebuilds,
@@ -105,6 +107,29 @@ pub fn note_consolidation(ns: u64) {
 
 fn note_index_rebuild() {
     INDEX_REBUILDS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Bloom probe and skip counts gathered locally, then added to the
+/// process-wide counters in one [`BloomTally::flush`]. Evaluation workers
+/// keep one per task so they do not contend on the shared counters for
+/// every candidate they test.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BloomTally {
+    probes: u64,
+    skips: u64,
+}
+
+impl BloomTally {
+    /// Add the gathered counts to the process-wide counters and reset.
+    pub fn flush(&mut self) {
+        if self.probes != 0 {
+            BLOOM_PROBES.fetch_add(self.probes, Ordering::Relaxed);
+        }
+        if self.skips != 0 {
+            BLOOM_SKIPS.fetch_add(self.skips, Ordering::Relaxed);
+        }
+        *self = BloomTally::default();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -338,12 +363,30 @@ impl TupleRuns {
             return false;
         }
         let h = hash_key(tuple.iter().copied());
-        let (mut probes, mut skips) = (0u64, 0u64);
-        let mut found = false;
+        let mut tally = BloomTally::default();
+        let found = self.contains_sealed(rows, tuple, h, usize::MAX, &mut tally);
+        tally.flush();
+        found
+    }
+
+    /// Whether a sealed row with id below `below` equals `tuple`, whose
+    /// [`hash_key`] is `h`. The mutable tail is not consulted, and bloom
+    /// counts go to `tally`, so this reads only immutable state.
+    pub fn contains_sealed(
+        &self,
+        rows: &[Box<[Value]>],
+        tuple: &[Value],
+        h: u64,
+        below: usize,
+        tally: &mut BloomTally,
+    ) -> bool {
         for run in &self.runs {
-            probes += 1;
+            if run.start as usize >= below {
+                break;
+            }
+            tally.probes += 1;
             if !run.bloom.may_contain(h) {
-                skips += 1;
+                tally.skips += 1;
                 continue;
             }
             let lo = run.hashes.partition_point(|&x| x < h);
@@ -351,20 +394,13 @@ impl TupleRuns {
                 if run.hashes[i] != h {
                     break;
                 }
-                if rows[run.ids[i] as usize][..] == *tuple {
-                    found = true;
-                    break;
+                let id = run.ids[i] as usize;
+                if id < below && rows[id][..] == *tuple {
+                    return true;
                 }
             }
-            if found {
-                break;
-            }
         }
-        BLOOM_PROBES.fetch_add(probes, Ordering::Relaxed);
-        if skips != 0 {
-            BLOOM_SKIPS.fetch_add(skips, Ordering::Relaxed);
-        }
-        found
+        false
     }
 
     /// Record a freshly inserted (known-new) tuple in the tail.
@@ -401,11 +437,25 @@ impl TupleRuns {
     pub fn seal_to(&mut self, rows: &[Box<[Value]>], end: usize) {
         let start = self.sealed;
         debug_assert!(end >= start && end <= rows.len());
-        if end == start {
+        let hashes: Vec<u64> = (start..end)
+            .map(|id| hash_key(rows[id].iter().copied()))
+            .collect();
+        self.seal_hashed(&hashes);
+    }
+
+    /// Seal the next `hashes.len()` rows past [`TupleRuns::sealed`], whose
+    /// [`hash_key`]s the caller already holds, into a new run and clear
+    /// the tail.
+    pub fn seal_hashed(&mut self, hashes: &[u64]) {
+        if hashes.is_empty() {
             return;
         }
-        let mut pairs: Vec<(u64, u32)> = (start..end)
-            .map(|id| (hash_key(rows[id].iter().copied()), id as u32))
+        let start = self.sealed;
+        let end = start + hashes.len();
+        let mut pairs: Vec<(u64, u32)> = hashes
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (h, (start + i) as u32))
             .collect();
         pairs.sort_unstable();
         let bloom = Bloom::build(pairs.iter().map(|&(h, _)| h), pairs.len());
@@ -599,28 +649,30 @@ impl IndexRuns {
         for row in &rows[start..end] {
             flat.extend(cols.iter().map(|&c| row[c]));
         }
-        let row_hashes: Vec<u64> = flat
-            .chunks(stride)
-            .map(|k| hash_key(k.iter().copied()))
+        let key = |rel: u32| &flat[rel as usize * stride..(rel as usize + 1) * stride];
+        // Sort by (hash, position) over flat pairs, then order the rare
+        // equal-hash spans holding distinct keys by (key, position).
+        let mut order: Vec<(u64, u32)> = (0..n as u32)
+            .map(|rel| (hash_key(key(rel).iter().copied()), rel))
             .collect();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            row_hashes[a]
-                .cmp(&row_hashes[b])
-                .then_with(|| {
-                    flat[a * stride..(a + 1) * stride].cmp(&flat[b * stride..(b + 1) * stride])
-                })
-                .then(a.cmp(&b))
-        });
+        order.sort_unstable();
+        let mut lo = 0;
+        while lo < n {
+            let h = order[lo].0;
+            let hi = lo + order[lo..].partition_point(|&(x, _)| x == h);
+            let span = &mut order[lo..hi];
+            if span.iter().any(|&(_, rel)| key(rel) != key(span[0].1)) {
+                span.sort_by(|a, b| key(a.1).cmp(key(b.1)).then(a.1.cmp(&b.1)));
+            }
+            lo = hi;
+        }
         let mut hashes = Vec::with_capacity(n);
         let mut keys = Vec::with_capacity(n * stride);
         let mut ids = Vec::with_capacity(n);
-        for &rel in &order {
-            let rel = rel as usize;
-            hashes.push(row_hashes[rel]);
-            keys.extend_from_slice(&flat[rel * stride..(rel + 1) * stride]);
-            ids.push((start + rel) as u32);
+        for &(h, rel) in &order {
+            hashes.push(h);
+            keys.extend_from_slice(key(rel));
+            ids.push(start as u32 + rel);
         }
         let bloom = Bloom::build(hashes.iter().copied(), n);
         self.runs.push(IndexRun {
@@ -701,7 +753,7 @@ impl IndexRuns {
     pub fn probe<'a>(&'a self, key: &[Value], start: usize, end: usize, out: &mut ProbeHits<'a>) {
         if !self.runs.is_empty() {
             let h = hash_key(key.iter().copied());
-            let (mut probes, mut skips) = (0u64, 0u64);
+            let mut tally = BloomTally::default();
             for run in &self.runs {
                 if run.end as usize <= start {
                     continue;
@@ -709,9 +761,9 @@ impl IndexRuns {
                 if run.start as usize >= end {
                     break;
                 }
-                probes += 1;
+                tally.probes += 1;
                 if !run.bloom.may_contain(h) {
-                    skips += 1;
+                    tally.skips += 1;
                     continue;
                 }
                 let group = run.group(key, h);
@@ -719,12 +771,7 @@ impl IndexRuns {
                 let b = group.partition_point(|&id| (id as usize) < end);
                 out.push(&group[a..b]);
             }
-            if probes != 0 {
-                BLOOM_PROBES.fetch_add(probes, Ordering::Relaxed);
-            }
-            if skips != 0 {
-                BLOOM_SKIPS.fetch_add(skips, Ordering::Relaxed);
-            }
+            tally.flush();
         }
         if let Some(postings) = self.tail.get(key) {
             let a = postings.partition_point(|&id| (id as usize) < start);

@@ -171,6 +171,38 @@ if ! cmp -s "$smoke_dir/threads1.out" "$smoke_dir/threads4.out"; then
 fi
 echo "check.sh: scaling smoke ok"
 
+# Pooled scaling smoke: the 2-fact TC above stays under the evaluator's
+# parallel threshold, so repeat the check on a digraph big enough to fan
+# out (384 nodes, 1536 edges from a fixed LCG). The profile must show an
+# iteration split into at least 4 tasks, i.e. a chunked join variant.
+lcg=1
+edges=0
+{
+    printf 'a(X, Y) :- p(X, Z), a(Z, Y).\na(X, Y) :- p(X, Y).\n'
+    while [ "$edges" -lt 1536 ]; do
+        lcg=$(( (lcg * 1103515245 + 12345) % 2147483648 ))
+        from=$(( lcg / 65536 % 384 ))
+        lcg=$(( (lcg * 1103515245 + 12345) % 2147483648 ))
+        printf 'p(%d, %d).\n' "$from" $(( lcg / 65536 % 384 ))
+        edges=$((edges + 1))
+    done
+    printf '?- a(X, Y).\n'
+} > "$smoke_dir/digraph.dl"
+./target/release/xdl run "$smoke_dir/digraph.dl" --stats --threads 1 \
+    > "$smoke_dir/digraph1.out" 2>&1
+./target/release/xdl run "$smoke_dir/digraph.dl" --stats --threads 4 \
+    > "$smoke_dir/digraph4.out" 2>&1
+if ! cmp -s "$smoke_dir/digraph1.out" "$smoke_dir/digraph4.out"; then
+    echo "check.sh: --threads 4 digraph output differs from serial" >&2
+    exit 1
+fi
+if ! ./target/release/xdl profile "$smoke_dir/digraph.dl" --json --threads 4 \
+    | grep -Eq '"tasks": *([4-9]|[1-9][0-9]+)'; then
+    echo "check.sh: no digraph iteration was split into 4+ tasks" >&2
+    exit 1
+fi
+echo "check.sh: pooled scaling smoke ok"
+
 # Scaling experiment: record a quick E12 run so BENCH history accumulates
 # alongside the committed full-mode BENCH_e12.json.
 mkdir -p bench_history
